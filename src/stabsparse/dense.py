@@ -14,14 +14,10 @@ from .stabilizer import CliffordOp, PauliOperator
 VECTOR_CAP = 12
 DENSITY_CAP = 10
 
-_H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
-_S = np.diag([1, 1j]).astype(np.complex128)
-_SDG = np.diag([1, -1j]).astype(np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Z = np.diag([1, -1]).astype(np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 
-GATE_MATRICES = {"H": _H, "S": _S, "Sdg": _SDG, "X": _X, "Z": _Z}
 PAULI_MATRICES = {"I": np.eye(2, dtype=np.complex128), "X": _X, "Y": _Y, "Z": _Z}
 
 
@@ -53,25 +49,6 @@ def apply_one_qubit(vec: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndar
     work = np.moveaxis(work, 0, axis)
     return work.reshape(-1)
 
-
-def apply_two_qubit(vec: np.ndarray, mat4: np.ndarray, qa: int, qb: int, n: int) -> np.ndarray:
-    """Apply a 4x4 matrix with row/column index (bit_a + 2*bit_b)."""
-    work = vec.reshape([2] * n)
-    axa, axb = n - 1 - qa, n - 1 - qb
-    work = np.moveaxis(work, (axa, axb), (0, 1))
-    shape = work.shape
-    work = work.reshape(4, -1)
-    work = (mat4.reshape(4, 4) @ work).reshape(shape)
-    work = np.moveaxis(work, (0, 1), (axa, axb))
-    return work.reshape(-1)
-
-
-# combined row index in apply_two_qubit is 2*bit(qa) + bit(qb)
-_CX4 = np.zeros((4, 4), dtype=np.complex128)
-for _t in (0, 1):
-    for _c in (0, 1):
-        _CX4[2 * (_t ^ _c) + _c, 2 * _t + _c] = 1.0  # qa = target, qb = control
-_CZ4 = np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128)
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _index_cache: dict = {}

@@ -30,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dense import product_vector
 from .masks import MaskSet, popcount
 from .stabilizer import StabilizerState, product_state_from_bits
 
@@ -136,9 +137,6 @@ class SparseDecomposition:
         if len(self.entries) != self.k:
             raise ValueError("entry count must equal k")
 
-    def bitstrings(self) -> np.ndarray:
-        return np.array([x for x, _ in self.entries], dtype=object)
-
     def phases(self) -> np.ndarray:
         return np.array([ph for _, ph in self.entries], dtype=np.complex128)
 
@@ -160,21 +158,25 @@ class SparseDecomposition:
 
     @classmethod
     def from_json(cls, data: dict) -> "SparseDecomposition":
-        entries = tuple(
-            (int(e["x"], 16), complex(e["phase"][0], e["phase"][1]))
-            for e in data["entries"]
-        )
-        return cls(
-            t=int(data["t"]),
-            k=int(data["k"]),
-            prefactor=float(data["prefactor"]),
-            entries=entries,
-            mode=data["mode"],
-            f_t=int(data.get("f_t", 0)),
-            groups=tuple(tuple(g) for g in data.get("groups", [])),
-            mask_ref=data.get("mask_ref"),
-            seed=data.get("seed"),
-        )
+        try:
+            entries = tuple(
+                (int(e["x"], 16), complex(e["phase"][0], e["phase"][1]))
+                for e in data["entries"]
+            )
+            return cls(
+                t=int(data["t"]),
+                k=int(data["k"]),
+                prefactor=float(data["prefactor"]),
+                entries=entries,
+                mode=data["mode"],
+                f_t=int(data.get("f_t", 0)),
+                groups=tuple(tuple(g) for g in data.get("groups", [])),
+                mask_ref=data.get("mask_ref"),
+                seed=data.get("seed"),
+            )
+        except (KeyError, IndexError, TypeError) as exc:
+            msg = f"malformed decomposition JSON ({type(exc).__name__}: {exc})"
+            raise ValueError(msg) from None
 
     def save(self, path: str) -> None:
         with open(path, "w") as fh:
@@ -311,11 +313,6 @@ def dense_decomposition(decomp: SparseDecomposition) -> np.ndarray:
     if decomp.t > 14:
         raise ValueError("dense expansion limited to t <= 14")
     acc = np.zeros(1 << decomp.t, dtype=np.complex128)
-    plus = np.array([1.0, 1.0], dtype=np.complex128) / math.sqrt(2.0)
-    zero = np.array([1.0, 0.0], dtype=np.complex128)
     for bits, phase in decomp.entries:
-        vec = np.array([1.0], dtype=np.complex128)
-        for q in range(decomp.t):
-            vec = np.kron(plus if (bits >> q) & 1 else zero, vec)
-        acc += phase * vec
+        acc += phase * product_vector([(bits >> q) & 1 for q in range(decomp.t)])
     return decomp.prefactor * acc

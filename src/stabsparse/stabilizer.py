@@ -232,9 +232,15 @@ class CliffordOp:
     def is_valid(self) -> bool:
         return self.tableau().is_symplectic()
 
+    def inverse(self) -> "CliffordOp":
+        return CliffordOp(n=self.n, word=_inverse_word(self.word))
+
     @classmethod
     def from_json(cls, records: Iterable[dict], n: int) -> "CliffordOp":
-        word = tuple((rec["gate"], tuple(rec["qubits"])) for rec in records)
+        try:
+            word = tuple((rec["gate"], tuple(rec["qubits"])) for rec in records)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed circuit JSON ({type(exc).__name__}: {exc})") from None
         return cls(n=n, word=word)
 
     def to_json(self) -> list:
@@ -538,13 +544,6 @@ class StabilizerState:
         b_h = np.where(self.v, a, b)
         return a_h, b_h, mu % 4
 
-    def expectation_pauli(self, p: PauliOperator) -> complex:
-        """<psi|P|psi> / <psi|psi>; one of -1, 0, +1 for Hermitian P."""
-        a, b, mu = self._conjugated_pauli(p)
-        if np.any(a):
-            return 0.0 + 0.0j
-        return 1j ** ((mu + 2 * _parity(b & self.s)) % 4)
-
     def _project_pauli_inplace(self, p: PauliOperator, outcome: int) -> Optional[float]:
         """Apply (I + outcome*P)/2; return the squared-norm factor.
 
@@ -820,11 +819,13 @@ def synthesize_word(tab: Tableau) -> tuple:
     if not np.array_equal(work.x[:n], np.eye(n, dtype=bool)) or np.any(work.sign):
         raise RuntimeError("tableau synthesis failed to reach the identity")
 
+    return _inverse_word(inverse_ops)
+
+
+def _inverse_word(word) -> tuple:
+    """The inverse gate word: reversed, with S and Sdg swapped."""
     daggers = {"S": "Sdg", "Sdg": "S"}
-    word = tuple(
-        (daggers.get(name, name), qubits) for name, qubits in reversed(inverse_ops)
-    )
-    return word
+    return tuple((daggers.get(name, name), qubits) for name, qubits in reversed(word))
 
 
 def random_clifford(t: int, rng) -> CliffordOp:

@@ -252,3 +252,22 @@ class TestCliCommands:
     def test_estimate_missing_file_exit_3(self):
         assert cli.main(["estimate", "--decomp", "/nonexistent.json",
                          "--paulis", "Z,+"]) == 3
+
+    def test_estimate_decomposition_missing_key_exit_3(self, tmp_path, capsys):
+        decomp_path = tmp_path / "d.json"
+        decomp_path.write_text(json.dumps({"t": 2, "k": 1}))  # no "entries"
+        assert cli.main(["estimate", "--decomp", str(decomp_path), "--paulis", "ZZ,+"]) == 3
+        err = capsys.readouterr().err
+        assert "entries" in err and len(err.strip().splitlines()) == 1
+
+    def test_estimate_circuit_missing_qubits_exit_3(self, tmp_path, capsys):
+        decomp_path = tmp_path / "d.json"
+        cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",
+                  "--out", str(decomp_path)])
+        circuit_path = tmp_path / "c.json"
+        circuit_path.write_text(json.dumps([{"gate": "H"}]))  # no "qubits"
+        capsys.readouterr()
+        assert cli.main(["estimate", "--decomp", str(decomp_path), "--circuit",
+                         str(circuit_path), "--paulis", "ZZ,+"]) == 3
+        err = capsys.readouterr().err
+        assert "qubits" in err and len(err.strip().splitlines()) == 1

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -244,6 +245,21 @@ class TestPauliProb:
         est = estimator.pauli_prob(d, None, [(sb.PauliOperator.from_string("Z"), -1)])
         assert est.value == 0.0
 
+    def test_numerically_annihilated_gives_zero(self):
+        # |1> (x) (a|0> + b|+>) with |1> = sqrt2 |+> - |0>: measuring Z = +1 on
+        # qubit 0 leaves a positive rounding residue (4e-16 against a norm of
+        # 7.5), which counts as annihilation
+        a = 1.4209820223119163 + 0.843732662303268j
+        b = 0.726093788947765 + 1.1648639811110282j
+        entries = ((0b00, -a), (0b01, math.sqrt(2) * a), (0b10, -b), (0b11, math.sqrt(2) * b))
+        d = magic.SparseDecomposition(
+            t=2, k=4, prefactor=1.0, entries=entries, mode=magic.IID
+        )
+        chain = [(sb.PauliOperator.from_string(s), 1) for s in ("ZI", "IX")]
+        est = estimator.pauli_prob(d, None, chain)
+        assert est.raw_value == 0.0
+        assert est.step_values == (0.0, 0.0)
+
     def test_sparsified_estimate_lands_near_truth(self):
         rng = np.random.default_rng(17)
         m = magic.magic_model(PI4, 4)
@@ -291,3 +307,198 @@ class TestPauliProb:
         est = estimator.pauli_prob(d, None, [(sb.PauliOperator.from_string("X"), 1)])
         assert est.value <= 1.0
         assert est.clamped == (est.raw_value > 1.0)
+
+
+def ch_chain_steps(decomp, circuit, chain):
+    """Per-step conditionals of the CH-form reference: every term through the
+    circuit and each projector, norms from sqnorm_terms."""
+    terms = magic.to_states(decomp)
+    if circuit is not None:
+        terms = [(w, sb.apply_clifford(stt, circuit)) for w, stt in terms]
+    norm_prev = estimator.sqnorm_terms(terms)
+    steps = []
+    for p, outcome in chain:
+        projected = []
+        for w, stt in terms:
+            res = sb.project_pauli(stt, p, outcome)
+            if res is not None:
+                projected.append((w * math.sqrt(res[1]), res[0]))
+        terms = projected
+        norm_next = estimator.sqnorm_terms(terms) if terms else 0.0
+        steps.append(norm_next / norm_prev if norm_prev > 0 else 0.0)
+        norm_prev = norm_next
+    return steps
+
+
+def dense_chain_steps(decomp, circuit, chain):
+    vec = magic.dense_decomposition(decomp)
+    if circuit is not None:
+        vec = dense.apply_clifford_dense(vec, circuit)
+    steps = []
+    for p, outcome in chain:
+        res = dense.projector_factor(vec, p, outcome, decomp.t)
+        if res is None:
+            break
+        vec, factor = res
+        steps.append(factor)
+    return steps + [0.0] * (len(chain) - len(steps))
+
+
+def xz_matrix(t, x, z):
+    """Dense X^x Z^z."""
+    return dense.pauli_matrix(sb.PauliOperator(t, x, 0)) @ dense.pauli_matrix(
+        sb.PauliOperator(t, 0, z)
+    )
+
+
+class TestHeisenbergPauliProb:
+    @staticmethod
+    def chains(t, rng):
+        ys = sb.PauliOperator.from_string("Y" * t)
+        p = sb.random_pauli(t, rng)
+        q = sb.random_pauli(t, rng)
+        minus_y = sb.PauliOperator.from_string("-" + "Y" + "XZ"[t % 2] * (t - 1))
+        ident = sb.PauliOperator(t, 0, 0)
+        neg_ident = sb.PauliOperator(t, 0, 0, -1)
+        return [
+            [(ys, 1)],
+            [(minus_y, -1), (p, 1)],
+            [(p, 1), (q, -1), (ys, 1)],
+            [(p, -1), (p, -1), (q, 1)],  # repeated Pauli
+            [(ident, 1), (p, 1)],
+            [(neg_ident, 1), (p, 1)],  # -I annihilates at once
+            [(p, 1), (p, -1)],  # annihilated at step 2
+        ]
+
+    def test_matches_ch_reference_and_dense(self):
+        rng = np.random.default_rng(40)
+        for t in range(1, 7):
+            m = magic.magic_model(PI4, t)
+            for circuit in (None, sb.random_clifford_word(t, 60, rng)):
+                d = magic.sample_iid(m, int(rng.integers(1, 9)), rng)
+                for chain in self.chains(t, rng):
+                    est = estimator.pauli_prob(d, circuit, chain)
+                    ref = ch_chain_steps(d, circuit, chain)
+                    truth = dense_chain_steps(d, circuit, chain)
+                    assert len(est.step_values) == len(chain)
+                    assert est.raw_value == pytest.approx(math.prod(ref), abs=1e-12)
+                    assert est.step_values == pytest.approx(ref, abs=1e-12)
+                    assert est.raw_value == pytest.approx(math.prod(truth), abs=1e-9)
+                    assert est.step_values == pytest.approx(truth, abs=1e-9)
+
+    def test_conjugation_matches_dense(self):
+        rng = np.random.default_rng(41)
+        for t in range(1, 5):
+            for _ in range(10):
+                op = sb.random_clifford_word(t, 40, rng)
+                p = sb.random_pauli(t, rng, hermitian=False)
+                image = estimator._conjugate(op.inverse().tableau(), p)
+                u = dense.clifford_unitary(op)
+                want = u.conj().T @ dense.pauli_matrix(p) @ u
+                got = sum(c * xz_matrix(t, x, z) for (x, z), c in image.items())
+                assert len(image) == 1
+                assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "circuit, chain, kwargs",
+        [
+            (None, [("Z", 0)], {}),  # outcome other than +-1
+            (sb.CliffordOp(3), [("Z", 1)], {}),  # circuit of the wrong size
+            (None, [("ZZ", 1)], {}),  # Pauli of the wrong size
+            (None, [("Z", 1)], dict(method="BOGUS")),
+            (None, [("Z", 1)], dict(method=estimator.FASTNORM)),  # no rng
+        ],
+    )
+    def test_bad_arguments_rejected(self, circuit, chain, kwargs):
+        _, d = full_decomposition(1)
+        chain = [(sb.PauliOperator.from_string(s), o) for s, o in chain]
+        with pytest.raises(ValueError):
+            estimator.pauli_prob(d, circuit, chain, **kwargs)
+
+    def test_fastnorm_branches_agree_draw_for_draw(self, monkeypatch):
+        # both branches consume the rng only through random_clifford, so the
+        # same seed gives the same theta draws on the CH and the dense branch
+        rng = np.random.default_rng(45)
+        m = magic.magic_model(PI4, 4)
+        d = magic.sample_iid(m, 5, rng)
+        circuit = sb.random_clifford_word(4, 60, rng)
+        chain = [(sb.random_pauli(4, rng), 1), (sb.PauliOperator.from_string("-YZXI"), -1)]
+
+        def run():
+            return estimator.pauli_prob(
+                d, circuit, chain, method=estimator.FASTNORM, fastnorm_samples=6,
+                rng=np.random.default_rng(46),
+            ).step_values
+
+        on_dense = run()
+        monkeypatch.setattr(dense, "VECTOR_CAP", 0)
+        assert run() == pytest.approx(on_dense, rel=1e-9)
+
+    def test_fastnorm_ch_branch_pooled_mean(self):
+        # t = 13 is above the dense cap, so every sample runs the CH branch
+        start = time.perf_counter()
+        rng = np.random.default_rng(42)
+        m = magic.magic_model(PI4, 13)
+        d = magic.sample_iid(m, 3, rng)
+        circuit = sb.random_clifford_word(13, 50, rng)
+        chain = [(sb.PauliOperator.from_string("ZYIIIIIIIIIIX"), 1)]
+        exact = estimator.pauli_prob(d, circuit, chain).raw_value
+        values = np.array([
+            estimator.pauli_prob(
+                d, circuit, chain, method=estimator.FASTNORM, fastnorm_samples=50, rng=rng
+            ).raw_value
+            for _ in range(10)
+        ])
+        sem = values.std(ddof=1) / math.sqrt(len(values))
+        assert abs(values.mean() - exact) <= 5 * sem
+        assert time.perf_counter() - start < 30
+
+
+class TestGramKernel:
+    T = 96  # two uint64 words per bitstring
+
+    def brute(self, bits, phases, x, z):
+        full = (1 << self.T) - 1
+        total = 0j
+        for a, pa in zip(bits, phases):
+            for b, pb in zip(bits, phases):
+                if (x & ~a & ~b & full) or (z & a & b):
+                    continue
+                sign = -1 if (x & z & ~a & b).bit_count() & 1 else 1
+                total += np.conjugate(pa) * pb * sign * 2.0 ** (-(a ^ b).bit_count() / 2)
+        return total
+
+    def decomposition(self, rng, k=20):
+        # mostly-zero strings keep the Pauli entries away from all-zero Grams
+        bits = [
+            int.from_bytes(rng.bytes(12), "little") & int.from_bytes(rng.bytes(12), "little")
+            & int.from_bytes(rng.bytes(12), "little")
+            for _ in range(k)
+        ]
+        phases = np.exp(2j * math.pi * rng.random(k))
+        return magic.SparseDecomposition(
+            t=self.T, k=k, prefactor=0.3, entries=tuple(zip(bits, phases)), mode=magic.IID
+        )
+
+    def test_exact_sqnorm_two_words(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_TILE_ENTRIES", 64)  # several row tiles
+        d = self.decomposition(np.random.default_rng(43))
+        bits = [b for b, _ in d.entries]
+        want = 0.3**2 * self.brute(bits, d.phases(), 0, 0).real
+        assert estimator.exact_sqnorm(d).value == pytest.approx(want, rel=1e-12)
+
+    def test_pauli_entries_two_words(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_TILE_ENTRIES", 64)
+        rng = np.random.default_rng(44)
+        d = self.decomposition(rng)
+        bits = [b for b, _ in d.entries]
+        full = (1 << self.T) - 1
+        for i in range(4):
+            # X inside bits[i] | bits[i + 1] and Z off bits[i] & bits[i + 1]
+            # keep that pair's entry alive; x & z gives Y factors
+            x = (bits[i] | bits[i + 1]) & int.from_bytes(rng.bytes(12), "little")
+            z = ~(bits[i] & bits[i + 1]) & full & int.from_bytes(rng.bytes(12), "little")
+            got = estimator._gram(estimator._words(bits, self.T), d.phases(), x, z)
+            want = self.brute(bits, d.phases(), x, z)
+            assert abs(want) > 1e-6
+            assert abs(got - want) <= 1e-12 * abs(want)
