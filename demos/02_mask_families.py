@@ -1,8 +1,9 @@
-"""Generating XOR mask families at power-of-two, even and padded sizes.
+"""Generating XOR mask families at power-of-two and even block lengths.
 
 The masks (plus the zero string) form binary codes of minimum distance
 t/2; the demo prints the small families against the two-bit symbol
-alphabet and shows how the planner escalates between strategies.
+alphabet and shows that more supplements means generating at a larger
+power-of-two block length.
 """
 
 import time
@@ -34,16 +35,14 @@ for t in (6, 12, 24):
     rep = masks.verify_mask_set(mask_set)
     print(f"  t = {t}: {rep.count} masks, min distance {rep.min_pairwise_distance}")
 
-print("\nplanner decisions for t = 16:")
+print("\nmore supplements means a larger power-of-two block length:")
 for needed in (0, 20, 40, 100):
-    plan = masks.plan_supplement(16, needed)
-    print(f"  need {needed:3d} -> {plan.strategy:6s} at block length "
-          f"{plan.block_length} ({plan.available} available)")
-
-print("\npadded generation embeds t qubits in a longer block:")
-padded = masks.generate_masks_padded(8, 40)
-print(f"  t = 8, need 40 -> block length {padded.block_length}, "
-      f"{len(padded)} masks; extra qubits are ancillas traced out at the end")
+    tp = 16
+    while 2 * tp - 1 < needed:
+        tp *= 2
+    mask_set = masks.generate_masks_even(tp)
+    print(f"  need {needed:3d} -> block length {tp} ({len(mask_set)} masks); "
+          f"the model is built at t = {tp}")
 
 print("\nper-mask generation time (doubling t):")
 for t in (2**8, 2**10, 2**12, 2**14):

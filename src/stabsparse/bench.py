@@ -164,13 +164,8 @@ def theorem2_plan(model: magic.MagicModel, delta: float, mask_set: masks.MaskSet
 
 
 def default_masks(t: int, f_required: int) -> masks.MaskSet:
-    plan = masks.plan_supplement(t, f_required)
-    if plan.strategy == masks.PADDED:
-        # stay at block length t and cap the supplements instead of padding
-        if t >= 2 and t % 2 == 0:
-            return masks.generate_masks_even(t)
-        raise ValueError(f"no direct mask family for t = {t}")
-    return masks.generate_for_plan(t, plan)
+    """The block-length-t mask set; f_required does not change it (plans cap f_t at its size)."""
+    return masks.generate_masks_even(t)
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +396,8 @@ def run_mask_timing(
 
 def timing_exponent(records: Sequence[ExperimentRecord]) -> float:
     """Least-squares slope of log(per-mask seconds) against log t."""
+    if len({r.t for r in records}) < 2:
+        raise ValueError("a timing exponent needs at least two distinct t")
     ts = np.array([r.t for r in records], dtype=float)
     per = np.array([r.metrics["seconds_per_mask"] for r in records], dtype=float)
     return float(np.polyfit(np.log(ts), np.log(per), 1)[0])

@@ -2,8 +2,10 @@
 
 Subcommands: gen-masks, sparsify, estimate, cost and bench (with the
 experiment runners sparsify-stats, worst-case, mask-timing, cost-map).
-Exit codes: 0 on success, 2 on invalid arguments, 3 when a library
-precondition fails.
+Exit codes: 0 on success; 2 for an argparse usage error (a missing or
+unknown option, or a value of the wrong type); 3 for any value rejected
+after parsing (a bad angle, delta, Pauli chain or mask size, or a
+missing or malformed input file), reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ def parse_phi(text: str) -> float:
     if "pi" in text:
         num, _, den = text.partition("pi")
         scale = float(num) if num not in ("", "+", "-") else (1.0 if num != "-" else -1.0)
-        if den.startswith("/"):
+        if den.startswith("/") and float(den[1:]):
             return scale * math.pi / float(den[1:])
         if den:
             raise ValueError(f"cannot parse angle {text!r}")
@@ -73,11 +75,7 @@ def parse_pauli_chain(text: str, t: int) -> list:
 
 
 def cmd_gen_masks(args) -> int:
-    if args.count is None:
-        mask_set = bench.default_masks(args.t, 2 * args.t - 1)
-    else:
-        plan = masks.plan_supplement(args.t, args.count)
-        mask_set = masks.generate_for_plan(args.t, plan)
+    mask_set = bench.default_masks(args.t, 2 * args.t - 1)
     report = masks.verify_mask_set(mask_set)
     if not report.ok:
         raise ValueError("generated mask set failed verification")
@@ -96,7 +94,7 @@ def cmd_sparsify(args) -> int:
     model = magic.magic_model(phi, args.t)
     rng = np.random.default_rng(args.seed)
     if args.mode == "iid":
-        k = args.k or costmodel.k_theorem1(model.xi_t, args.delta, 1.0)
+        k = costmodel.k_theorem1(model.xi_t, args.delta, 1.0) if args.k is None else args.k
         decomp = magic.sample_iid(model, k, rng)
     else:
         mask_set = bench.default_masks(args.t, 2 * args.t - 1)
@@ -105,7 +103,7 @@ def cmd_sparsify(args) -> int:
         else:
             plan = bench.theorem2_plan(model, args.delta, mask_set)
         f_t = plan.f_t if args.f_t is None else args.f_t
-        k = args.k or plan.k_correlated
+        k = plan.k_correlated if args.k is None else args.k
         decomp = magic.sample_correlated(
             model, mask_set, f_t, k, rng,
             mode=magic.THEOREM1 if args.mode == "theorem1" else magic.THEOREM2,
@@ -184,7 +182,8 @@ def cmd_bench(args) -> int:
             print(key, row)
     elif args.experiment == "mask-timing":
         records = bench.run_mask_timing(parse_int_range(args.t), out=args.out)
-        print(f"fitted per-mask exponent: {bench.timing_exponent(records):.3f}")
+        if len({r.t for r in records}) >= 2:
+            print(f"fitted per-mask exponent: {bench.timing_exponent(records):.3f}")
     elif args.experiment == "cost-map":
         bench.run_cost_map(
             parse_int_range(args.t), parse_float_list(args.delta),
@@ -203,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-masks", help="generate an XOR mask set")
     p.add_argument("--t", type=int, required=True)
-    p.add_argument("--count", type=int, default=None, help="required mask count")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen_masks)
 

@@ -240,8 +240,8 @@ def sample_correlated(
         raise ValueError("k_total must be at least 1")
     if f_t > 0 and masks.block_length != model.t:
         raise ValueError(
-            "mask block length must equal the model qubit count; for a padded "
-            "plan build the model at the padded length"
+            "mask block length must equal the model qubit count; for more "
+            "masks build the model at a larger power-of-two block length"
         )
     if abs(model.p1 - 0.5) > 1e-12 and f_t > 0:
         warnings.warn(

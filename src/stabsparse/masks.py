@@ -10,6 +10,12 @@ yields groups of strings that are pairwise "maximally dissimilar",
 which is what the correlated sampler in :mod:`stabsparse.magic`
 consumes.
 
+Each even block length t has one mask set, from
+:func:`generate_masks_even`: the 2^(k+1)-1 power-of-two masks of the
+largest power of two 2^k dividing t, tiled to length t.  A caller that
+needs more supplements than that generates at a larger power-of-two
+block length and builds its model there.
+
 Masks are little-endian integers (bit q = position q) serialized as hex.
 Generation is a pure function of t; no randomness is involved.
 """
@@ -19,9 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-DIRECT = "DIRECT"
 EVEN = "EVEN"
-PADDED = "PADDED"
 POW2 = "POW2"
 
 
@@ -40,7 +44,6 @@ class MaskSet:
     block_length: int
     masks: tuple
     strategy: str
-    source_t: int
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -60,7 +63,6 @@ class MaskSet:
         return {
             "block_length": self.block_length,
             "strategy": self.strategy,
-            "source_t": self.source_t,
             "masks": [format(m, "x") for m in self.masks],
         }
 
@@ -70,7 +72,6 @@ class MaskSet:
             block_length=int(data["block_length"]),
             masks=tuple(int(m, 16) for m in data["masks"]),
             strategy=data["strategy"],
-            source_t=int(data.get("source_t", data["block_length"])),
         )
 
     def save(self, path: str) -> None:
@@ -129,7 +130,7 @@ def generate_masks_pow2(t: int) -> MaskSet:
     """2t-1 masks of length t (t a power of two): complemented tree strings."""
     ys = tree_bitstrings(t)
     masks = tuple(_complement(y, t) for y in ys)
-    return MaskSet(block_length=t, masks=masks, strategy=POW2, source_t=t)
+    return MaskSet(block_length=t, masks=masks, strategy=POW2)
 
 
 def generate_masks_even(t: int) -> MaskSet:
@@ -138,10 +139,11 @@ def generate_masks_even(t: int) -> MaskSet:
     With 2^k the largest power of two dividing t, the 2^(k+1)-1 masks of
     length 2^k are each repeated t / 2^k times.  Tiling multiplies all
     weights and pairwise distances by the repetition count, so the
-    minimum distance t/2 is preserved.
+    minimum distance t/2 is preserved.  For power-of-two t there is one
+    repetition and the result is :func:`generate_masks_pow2` itself.
     """
     if t < 2 or t % 2 != 0:
-        raise ValueError("t must be even and at least 2")
+        raise ValueError(f"t must be even and at least 2, got t = {t}")
     base = t & (-t)  # largest power of two dividing t
     reps = t // base
     base_set = generate_masks_pow2(base)
@@ -153,27 +155,7 @@ def generate_masks_even(t: int) -> MaskSet:
         for r in range(reps):
             tiled |= m << (r * base)
         masks.append(tiled)
-    return MaskSet(block_length=t, masks=tuple(masks), strategy=EVEN, source_t=t)
-
-
-def generate_masks_padded(t: int, count: int) -> MaskSet:
-    """More than 2t-1 masks by moving to a longer block length.
-
-    Picks the smallest power of two t' with 2t'-1 >= count and generates
-    at block length t'.  The caller embeds its t qubits in the first t
-    positions and treats the remaining t'-t as ancillas to discard at
-    the end of the calculation; the inner-product cost then scales with
-    t' instead of t.
-    """
-    if count <= 2 * t - 1:
-        raise ValueError("direct generation suffices; padding not needed")
-    tp = 2
-    while 2 * tp - 1 < count or tp < t:
-        tp *= 2
-    padded = generate_masks_pow2(tp)
-    return MaskSet(
-        block_length=tp, masks=padded.masks, strategy=PADDED, source_t=t
-    )
+    return MaskSet(block_length=t, masks=tuple(masks), strategy=EVEN)
 
 
 @dataclass(frozen=True)
@@ -199,43 +181,3 @@ def verify_mask_set(mask_set: MaskSet) -> MaskReport:
         min_pairwise_distance=dmin,
         ok=(wmin >= half and dmin >= half),
     )
-
-
-@dataclass(frozen=True)
-class SupplementPlan:
-    strategy: str
-    block_length: int
-    available: int
-    realized: int
-
-
-def plan_supplement(t: int, f_required: int) -> SupplementPlan:
-    """Choose a generation strategy realizing at least f_required masks.
-
-    DIRECT for power-of-two t with f_required <= 2t-1, EVEN when the
-    even-t family suffices, PADDED (with the block length it implies)
-    otherwise.  realized is min(f_required, available).
-    """
-    if f_required < 0:
-        raise ValueError("f_required must be nonnegative")
-    if _is_pow2(t) and t >= 2:
-        avail = 2 * t - 1
-        if f_required <= avail:
-            return SupplementPlan(DIRECT, t, avail, f_required)
-    elif t % 2 == 0 and t >= 2:
-        base = t & (-t)
-        avail = 2 * base - 1
-        if f_required <= avail:
-            return SupplementPlan(EVEN, t, avail, f_required)
-    tp = 2
-    while 2 * tp - 1 < f_required or tp < t:
-        tp *= 2
-    return SupplementPlan(PADDED, tp, 2 * tp - 1, f_required)
-
-
-def generate_for_plan(t: int, plan: SupplementPlan) -> MaskSet:
-    if plan.strategy == DIRECT:
-        return generate_masks_pow2(t)
-    if plan.strategy == EVEN:
-        return generate_masks_even(t)
-    return generate_masks_padded(t, max(plan.realized, 2 * t))

@@ -24,6 +24,9 @@ class TestPlans:
     def test_default_masks_odd_t_rejected(self):
         with pytest.raises(ValueError):
             bench.default_masks(7, 13)
+        for t in range(2, 65, 2):
+            for f in (0, 1, t, 2 * t - 1, 4 * t, 1000):
+                assert bench.default_masks(t, f) == masks.generate_masks_even(t)
 
 
 class TestSparsifyStats:
@@ -124,6 +127,11 @@ class TestMaskTimingAndCostMap:
         assert [r.t for r in records] == [32, 64, 128]
         assert all(r.metrics["seconds_per_mask"] > 0 for r in records)
         assert isinstance(bench.timing_exponent(records), float)
+
+    def test_timing_exponent_needs_two_block_lengths(self):
+        records = bench.run_mask_timing([4, 4], repeats=1)
+        with pytest.raises(ValueError):
+            bench.timing_exponent(records)
 
     def test_timing_exponent_subquadratic(self):
         # fitted per-mask growth over 2^5..2^14 stays comfortably below
@@ -235,6 +243,37 @@ class TestCliCommands:
         ])
         assert code == 0
         assert out.exists()
+
+    def test_mask_timing_one_block_length(self, tmp_path, capsys):
+        out = tmp_path / "timing.csv"
+        code = cli.main(["bench", "mask-timing", "--t", "4", "--out", str(out)])
+        assert code == 0
+        assert "exponent" not in capsys.readouterr().out
+        assert len(out.read_text().strip().splitlines()) == 2
+
+    @pytest.mark.parametrize("mode", ["iid", "theorem1", "theorem2"])
+    def test_sparsify_k_zero_exit_3(self, mode, capsys):
+        code = cli.main(["sparsify", "--t", "8", "--delta", "0.4",
+                         "--mode", mode, "--k", "0"])
+        assert code == 3
+        assert "must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, needle", [
+        (["sparsify", "--t", "4", "--delta", "0"], "delta"),
+        (["sparsify", "--t", "4", "--delta", "0.4", "--phi", "foo"], "foo"),
+        (["sparsify", "--t", "4", "--delta", "0.4", "--phi", "pi/0"], "pi/0"),
+        (["estimate", "--decomp", "{decomp}", "--paulis", "ZZZ,+"], "ZZZ"),
+        (["gen-masks", "--t", "0"], "t = 0"),
+    ], ids=["delta-zero", "phi-foo", "phi-pi-over-zero", "paulis-too-long",
+         "gen-masks-t-zero"])
+    def test_rejected_values_exit_3(self, argv, needle, tmp_path, capsys):
+        decomp_path = tmp_path / "d.json"
+        cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",
+                  "--out", str(decomp_path)])
+        capsys.readouterr()
+        assert cli.main([a.format(decomp=decomp_path) for a in argv]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
 
     def test_invalid_arguments_exit_2(self):
         with pytest.raises(SystemExit) as err:

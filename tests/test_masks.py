@@ -108,72 +108,21 @@ class TestEvenGeneration:
         assert mk.verify_mask_set(mk.generate_masks_even(t)).ok
 
 
-class TestPaddedGeneration:
-    def test_t8_count40(self):
-        ms = mk.generate_masks_padded(8, 40)
-        assert ms.block_length == 32
-        assert len(ms) == 63
-        assert ms.strategy == mk.PADDED
-        assert ms.source_t == 8
-
-    def test_direct_sufficient_rejected(self):
-        with pytest.raises(ValueError):
-            mk.generate_masks_padded(8, 15)
-
-    def test_block_length_dominates_fractional_formula(self):
-        # alpha copies of the direct family would need t' = alpha(t-1/2)+1/2
-        for t, count in [(8, 40), (8, 100), (16, 50), (16, 400)]:
-            ms = mk.generate_masks_padded(t, count)
-            alpha = -(-count // (2 * t - 1))
-            assert ms.block_length >= alpha * (t - 0.5) + 0.5
-            assert len(ms) >= count
-
-
 class TestVerify:
     def test_t2_pass(self):
-        ms = mk.MaskSet(2, (0b01, 0b10, 0b11), "POW2", 2)
+        ms = mk.MaskSet(2, (0b01, 0b10, 0b11), "POW2")
         report = mk.verify_mask_set(ms)
         assert report.ok and report.min_weight == 1
 
     def test_pair_pass(self):
-        ms = mk.MaskSet(2, (0b11, 0b10), "POW2", 2)
+        ms = mk.MaskSet(2, (0b11, 0b10), "POW2")
         assert mk.verify_mask_set(ms).ok
 
     def test_low_weight_fails(self):
-        ms = mk.MaskSet(8, (0b1, 0b10), "POW2", 8)
+        ms = mk.MaskSet(8, (0b1, 0b10), "POW2")
         report = mk.verify_mask_set(ms)
         assert not report.ok
         assert report.min_weight == 1
-
-
-class TestPlan:
-    def test_direct(self):
-        plan = mk.plan_supplement(16, 20)
-        assert plan.strategy == mk.DIRECT
-        assert plan.available == 31
-
-    def test_padded(self):
-        plan = mk.plan_supplement(16, 100)
-        assert plan.strategy == mk.PADDED
-        assert plan.block_length == 64
-        assert plan.available == 127
-
-    def test_zero_supplements(self):
-        plan = mk.plan_supplement(16, 0)
-        assert plan.strategy == mk.DIRECT
-        assert plan.realized == 0
-
-    def test_even(self):
-        plan = mk.plan_supplement(12, 5)
-        assert plan.strategy == mk.EVEN
-        assert plan.available == 7
-
-    def test_generate_for_plan(self):
-        for t, f in [(16, 20), (12, 5), (16, 100), (10, 60)]:
-            plan = mk.plan_supplement(t, f)
-            ms = mk.generate_for_plan(t, plan)
-            assert len(ms) >= f
-            assert mk.verify_mask_set(ms).ok
 
 
 class TestSerialization:
@@ -186,8 +135,17 @@ class TestSerialization:
 
     def test_schema_fields(self):
         data = mk.generate_masks_pow2(4).to_json()
-        assert set(data) == {"block_length", "strategy", "source_t", "masks"}
+        assert set(data) == {"block_length", "strategy", "masks"}
         assert all(isinstance(m, str) for m in data["masks"])
+
+    def test_loads_older_padded_record(self):
+        # a padded record as older versions wrote it, with source_t
+        data = {"block_length": 4, "strategy": "PADDED", "source_t": 2,
+                "masks": ["a", "5", "f", "6", "9", "3", "c"]}
+        ms = mk.MaskSet.from_json(data)
+        assert ms.block_length == 4
+        assert ms.masks == mk.generate_masks_pow2(4).masks
+        assert ms.strategy == "PADDED"
 
 
 @settings(max_examples=40, deadline=None)
