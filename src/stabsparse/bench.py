@@ -75,6 +75,10 @@ def _run_grid(
     workers: int = 1,
 ) -> list:
     """Evaluate worker(cell, cell_idx, trial_idx, master_seed) on the grid."""
+    if trials < 1:
+        raise ValueError(f"trial count must be at least 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"worker (--threads) count must be at least 1, got {workers}")
     specs = [(ci, ti) for ci in range(len(cells)) for ti in range(trials)]
     out = {}
     if workers <= 1 or len(specs) <= 1:

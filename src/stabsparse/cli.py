@@ -4,8 +4,9 @@ Subcommands: gen-masks, sparsify, estimate, cost and bench (with the
 experiment runners sparsify-stats, worst-case, mask-timing, cost-map).
 Exit codes: 0 on success; 2 for an argparse usage error (a missing or
 unknown option, or a value of the wrong type); 3 for any value rejected
-after parsing (a bad angle, delta, Pauli chain or mask size, or a
-missing or malformed input file), reported as one ``error:`` line.
+after parsing (a bad angle, delta, Pauli chain or mask size, a bench
+trial, thread or gate count out of range, or a missing or malformed input
+file), reported as one ``error:`` line.
 """
 
 from __future__ import annotations

@@ -268,7 +268,7 @@ def pauli_prob(
         circuit = CliffordOp(decomp.t)
     if circuit.n != decomp.t:
         raise ValueError("circuit and decomposition disagree on qubit count")
-    tab = circuit.inverse().tableau()
+    tab = circuit.inverse_tableau()
     bits = _words([x for x, _ in decomp.entries], decomp.t)
     amps = decomp.prefactor * decomp.phases()
 

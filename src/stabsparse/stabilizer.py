@@ -7,7 +7,9 @@ described by binary matrices G, F, M and a phase vector gamma (mod 4),
 ``U_H`` is a layer of Hadamards selected by the bit vector v, ``s`` is a
 computational basis string, and ``omega`` is an explicit complex global
 scalar.  Unlike a plain tableau, this form supports exact amplitudes and
-exact inner products (including global phase) at cost O(n^3).
+exact inner products (including global phase) at cost O(n^3).  Clifford
+words act on Paulis through :class:`Tableau`, which packs each qubit's x
+bits, z bits and all row signs into Python ints (Stim-style, arXiv:2103.02202).
 
 Conventions: qubit q corresponds to bit q of an integer basis label
 (little endian).  A basis string ``"011"`` puts qubit 0 in |0> and qubits
@@ -26,6 +28,7 @@ GATE_NAMES = ("H", "S", "Sdg", "X", "Z", "CX", "CZ")
 
 _ONE_QUBIT_GATES = frozenset(["H", "S", "Sdg", "X", "Z"])
 _TWO_QUBIT_GATES = frozenset(["CX", "CZ"])
+_DAGGERS = {"S": "Sdg", "Sdg": "S"}
 
 
 def _parity(bits: np.ndarray) -> int:
@@ -120,84 +123,85 @@ class PauliOperator:
 class Tableau:
     """Images of X_q and Z_q under conjugation by a Clifford word.
 
-    Rows 0..n-1 hold the X images, rows n..2n-1 the Z images, each as
-    (x bits, z bits, sign bit).  Used for validity checks, canonical
-    keys and gate-word synthesis; the CH form is used for states.
+    Rows 0..n-1 hold the X images, rows n..2n-1 the Z images.  The bits
+    are packed by column: bit r of ``x[q]`` (of ``z[q]``) is the x (z) bit
+    of qubit q in row r, and bit r of ``sign`` is row r's sign, so a gate
+    update is a few whole-column integer operations.  Used for validity
+    checks, canonical keys, gate-word synthesis and Heisenberg-picture
+    conjugation; the CH form is used for states.
     """
+
+    __slots__ = ("n", "x", "z", "sign")
 
     def __init__(self, n: int):
         self.n = n
-        self.x = np.zeros((2 * n, n), dtype=bool)
-        self.z = np.zeros((2 * n, n), dtype=bool)
-        self.sign = np.zeros(2 * n, dtype=bool)
-        for q in range(n):
-            self.x[q, q] = True
-            self.z[n + q, q] = True
+        self.x = [1 << q for q in range(n)]
+        self.z = [1 << (n + q) for q in range(n)]
+        self.sign = 0
 
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
-        t.n = self.n
-        t.x = self.x.copy()
-        t.z = self.z.copy()
-        t.sign = self.sign.copy()
+        t.n, t.x, t.z, t.sign = self.n, list(self.x), list(self.z), self.sign
         return t
 
     def apply_gate(self, name: str, qubits: Sequence[int]) -> None:
         x, z = self.x, self.z
         if name == "H":
             (q,) = qubits
-            self.sign ^= x[:, q] & z[:, q]
-            x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+            self.sign ^= x[q] & z[q]
+            x[q], z[q] = z[q], x[q]
         elif name == "S":
             (q,) = qubits
-            self.sign ^= x[:, q] & z[:, q]
-            z[:, q] ^= x[:, q]
+            self.sign ^= x[q] & z[q]
+            z[q] ^= x[q]
         elif name == "Sdg":
             (q,) = qubits
-            z[:, q] ^= x[:, q]
-            self.sign ^= x[:, q] & z[:, q]
+            z[q] ^= x[q]
+            self.sign ^= x[q] & z[q]
         elif name == "X":
             (q,) = qubits
-            self.sign ^= z[:, q]
+            self.sign ^= z[q]
         elif name == "Z":
             (q,) = qubits
-            self.sign ^= x[:, q]
+            self.sign ^= x[q]
         elif name == "CX":
             c, t = qubits
-            self.sign ^= x[:, c] & z[:, t] & ~(x[:, t] ^ z[:, c])
-            x[:, t] ^= x[:, c]
-            z[:, c] ^= z[:, t]
+            self.sign ^= x[c] & z[t] & ~(x[t] ^ z[c])
+            x[t] ^= x[c]
+            z[c] ^= z[t]
         elif name == "CZ":
             c, t = qubits
-            self.sign ^= x[:, c] & x[:, t] & (z[:, c] ^ z[:, t])
-            z[:, c] ^= x[:, t]
-            z[:, t] ^= x[:, c]
+            self.sign ^= x[c] & x[t] & (z[c] ^ z[t])
+            z[c] ^= x[t]
+            z[t] ^= x[c]
         else:
             raise ValueError(f"unknown gate {name!r}")
 
     def row_pauli(self, row: int) -> PauliOperator:
-        x = sum(1 << q for q in range(self.n) if self.x[row, q])
-        z = sum(1 << q for q in range(self.n) if self.z[row, q])
-        return PauliOperator(self.n, x, z, -1 if self.sign[row] else 1)
+        x = sum(((col >> row) & 1) << q for q, col in enumerate(self.x))
+        z = sum(((col >> row) & 1) << q for q, col in enumerate(self.z))
+        return PauliOperator(self.n, x, z, -1 if (self.sign >> row) & 1 else 1)
 
     def is_symplectic(self) -> bool:
         """True iff row pairings match the identity frame's pairings."""
         n = self.n
+        xs, zs = _transpose(self.x, 2 * n), _transpose(self.z, 2 * n)
         for a in range(2 * n):
             for b in range(a + 1, 2 * n):
-                pair = _parity(self.x[a] & self.z[b]) ^ _parity(self.z[a] & self.x[b])
-                expect = 1 if (a % n == b % n and a != b) else 0
-                if pair != expect:
+                pair = ((xs[a] & zs[b]).bit_count() ^ (zs[a] & xs[b]).bit_count()) & 1
+                if pair != (b == a + n):
                     return False
         return True
 
     def key(self) -> bytes:
         """Canonical hashable identity of the Clifford action."""
-        return (
-            np.packbits(self.x).tobytes()
-            + np.packbits(self.z).tobytes()
-            + np.packbits(self.sign).tobytes()
-        )
+        width = (2 * self.n + 7) // 8
+        return b"".join(v.to_bytes(width, "little") for v in self.x + self.z + [self.sign])
+
+
+def _transpose(vals: Sequence[int], width: int) -> list:
+    """Bit matrix transpose: bit i of out[b] is bit b of vals[i]."""
+    return [sum(((v >> b) & 1) << i for i, v in enumerate(vals)) for b in range(width)]
 
 
 @dataclass(frozen=True)
@@ -227,6 +231,13 @@ class CliffordOp:
         t = Tableau(self.n)
         for name, qubits in self.word:
             t.apply_gate(name, qubits)
+        return t
+
+    def inverse_tableau(self) -> Tableau:
+        """Tableau of the inverse word, without building its CliffordOp."""
+        t = Tableau(self.n)
+        for name, qubits in reversed(self.word):
+            t.apply_gate(_DAGGERS.get(name, name), qubits)
         return t
 
     def is_valid(self) -> bool:
@@ -749,14 +760,11 @@ def random_clifford_tableau(t: int, rng) -> Tableau:
         xs.append(v)
         zs.append(w)
     tab = Tableau(t)
+    cols = _transpose(xs + zs, 2 * t)
+    tab.x, tab.z = cols[:t], cols[t:]
     for i in range(t):
-        for q in range(t):
-            tab.x[i, q] = bool((xs[i] >> q) & 1)
-            tab.z[i, q] = bool((xs[i] >> (t + q)) & 1)
-            tab.x[t + i, q] = bool((zs[i] >> q) & 1)
-            tab.z[t + i, q] = bool((zs[i] >> (t + q)) & 1)
-        tab.sign[i] = bool(rng.integers(2))
-        tab.sign[t + i] = bool(rng.integers(2))
+        tab.sign |= int(rng.integers(2)) << i
+        tab.sign |= int(rng.integers(2)) << (t + i)
     return tab
 
 
@@ -770,32 +778,38 @@ def synthesize_word(tab: Tableau) -> tuple:
         work.apply_gate(name, qubits)
         inverse_ops.append((name, qubits))
 
+    def xb(row, q):
+        return (work.x[q] >> row) & 1
+
+    def zb(row, q):
+        return (work.z[q] >> row) & 1
+
     for i in range(n):
         xrow = i
         zrow = n + i
         # bring the X image to X_i
-        if not work.x[xrow, i]:
-            cand = [q for q in range(i, n) if work.x[xrow, q]]
+        if not xb(xrow, i):
+            cand = [q for q in range(i, n) if xb(xrow, q)]
             if cand:
                 q = cand[0]
             else:
-                q = next(q for q in range(i, n) if work.z[xrow, q])
+                q = next(q for q in range(i, n) if zb(xrow, q))
                 emit("H", q)
             if q != i:
                 emit("CX", i, q)
                 emit("CX", q, i)
                 emit("CX", i, q)
         for q in range(n):
-            if q != i and work.x[xrow, q]:
+            if q != i and xb(xrow, q):
                 emit("CX", i, q)
         for q in range(n):
-            if q != i and work.z[xrow, q]:
+            if q != i and zb(xrow, q):
                 emit("CZ", i, q)
-        if work.z[xrow, i]:
+        if zb(xrow, i):
             emit("S", i)
         # bring the Z image to Z_i; it now anticommutes with X_i so z_i = 1
-        if work.x[zrow, i]:
-            other = [q for q in range(n) if q != i and work.x[zrow, q]]
+        if xb(zrow, i):
+            other = [q for q in range(n) if q != i and xb(zrow, q)]
             if other:
                 emit("CX", other[0], i)
             else:
@@ -803,20 +817,20 @@ def synthesize_word(tab: Tableau) -> tuple:
                 emit("S", i)
                 emit("H", i)
         for q in range(n):
-            if q != i and work.x[zrow, q]:
-                if work.z[zrow, q]:
+            if q != i and xb(zrow, q):
+                if zb(zrow, q):
                     emit("S", q)
                 emit("H", q)
         for q in range(n):
-            if q != i and work.z[zrow, q]:
+            if q != i and zb(zrow, q):
                 emit("CX", q, i)
         # signs
-        if work.sign[zrow]:
+        if (work.sign >> zrow) & 1:
             emit("X", i)
-        if work.sign[xrow]:
+        if (work.sign >> xrow) & 1:
             emit("Z", i)
 
-    if not np.array_equal(work.x[:n], np.eye(n, dtype=bool)) or np.any(work.sign):
+    if work.key() != Tableau(n).key():
         raise RuntimeError("tableau synthesis failed to reach the identity")
 
     return _inverse_word(inverse_ops)
@@ -824,8 +838,7 @@ def synthesize_word(tab: Tableau) -> tuple:
 
 def _inverse_word(word) -> tuple:
     """The inverse gate word: reversed, with S and Sdg swapped."""
-    daggers = {"S": "Sdg", "Sdg": "S"}
-    return tuple((daggers.get(name, name), qubits) for name, qubits in reversed(word))
+    return tuple((_DAGGERS.get(name, name), qubits) for name, qubits in reversed(word))
 
 
 def random_clifford(t: int, rng) -> CliffordOp:
@@ -836,6 +849,8 @@ def random_clifford(t: int, rng) -> CliffordOp:
 
 def random_clifford_word(t: int, length: int, rng) -> CliffordOp:
     """A circuit of ``length`` uniformly random gates from the gate set."""
+    if length < 0:
+        raise ValueError(f"gate count must be non-negative, got {length}")
     word = []
     names = ["H", "S", "Sdg", "X", "Z"] if t == 1 else list(GATE_NAMES)
     for _ in range(length):

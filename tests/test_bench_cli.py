@@ -30,12 +30,11 @@ class TestPlans:
 
 
 class TestSparsifyStats:
-    def test_zero_trials_header_only(self, tmp_path):
+    def test_zero_trials_rejected(self, tmp_path):
         out = tmp_path / "stats.csv"
-        bench.run_sparsify_stats(math.pi / 4, [4], [0.4], 0, seed=1, out=str(out))
-        rows = out.read_text().strip().splitlines()
-        assert len(rows) == 1
-        assert rows[0].startswith("experiment,mode,phi,t,delta,k,f_t,trial")
+        with pytest.raises(ValueError, match="at least 1"):
+            bench.run_sparsify_stats(math.pi / 4, [4], [0.4], 0, seed=1, out=str(out))
+        assert not out.exists()
 
     def test_correlated_uses_fewer_terms(self):
         records = bench.run_sparsify_stats(math.pi / 4, [8], [0.4], 4, seed=2)
@@ -274,6 +273,25 @@ class TestCliCommands:
         assert cli.main([a.format(decomp=decomp_path) for a in argv]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
+    @pytest.mark.parametrize("experiment, flags, needle", [
+        ("worst-case", ["--cliffords", "-1"], "gate count"),
+        ("worst-case", ["--trials", "0"], "at least 1"),
+        ("worst-case", ["--trials", "-2"], "at least 1"),
+        ("worst-case", ["--threads", "0"], "at least 1"),
+        ("sparsify-stats", ["--threads", "0"], "at least 1"),
+    ], ids=["cliffords-negative", "trials-zero", "trials-negative",
+         "worst-case-threads-zero", "sparsify-stats-threads-zero"])
+    def test_out_of_range_bench_integers_exit_3(self, experiment, flags, needle,
+                                                 tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        # argparse keeps the last occurrence, so ``flags`` override the defaults
+        argv = ["bench", experiment, "--t", "2", "--delta", "0.4", "--trials", "1",
+                "--seed", "1", "--out", str(out)] + flags
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+        assert not out.exists()
 
     def test_invalid_arguments_exit_2(self):
         with pytest.raises(SystemExit) as err:

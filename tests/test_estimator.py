@@ -399,6 +399,18 @@ class TestHeisenbergPauliProb:
                 assert len(image) == 1
                 assert np.abs(got - want).max() < 1e-12
 
+    def test_conjugates_through_the_inverse_tableau(self, monkeypatch):
+        rng = np.random.default_rng(127)
+        circuit = sb.random_clifford_word(5, 300, rng)
+        d = magic.sample_iid(magic.magic_model(PI4, 5), 4, rng)
+        seen = []
+        conjugate = estimator._conjugate
+        monkeypatch.setattr(
+            estimator, "_conjugate", lambda tab, p: seen.append(tab) or conjugate(tab, p)
+        )
+        estimator.pauli_prob(d, circuit, [(sb.random_pauli(5, rng), 1)])
+        assert seen and all(t.key() == circuit.inverse().tableau().key() for t in seen)
+
     @pytest.mark.parametrize(
         "circuit, chain, kwargs",
         [

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -246,6 +247,43 @@ class TestRandomClifford:
                     img = u @ mat @ u.conj().T
                     expect = dense.pauli_matrix(tab.row_pauli(row))
                     assert np.allclose(img, expect, atol=1e-10)
+
+
+class TestPackedTableau:
+    @pytest.mark.parametrize("gate", sb.GATE_NAMES)
+    def test_rows_match_dense_conjugation(self, gate):
+        rng = np.random.default_rng(113)
+        arity = 2 if gate in ("CX", "CZ") else 1
+        for n in range(arity, 5):
+            for _ in range(5):
+                qubits = tuple(int(q) for q in rng.permutation(n)[:arity])
+                word = (sb.random_clifford_word(n, 6, rng).word + ((gate, qubits),)
+                        + sb.random_clifford_word(n, 6, rng).word)
+                op = sb.CliffordOp(n, word)
+                u = dense.clifford_unitary(op)
+                tab = op.tableau()
+                for row in range(2 * n):
+                    q = row % n
+                    base = sb.PauliOperator(n, (1 << q) * (row < n), (1 << q) * (row >= n))
+                    img = u @ dense.pauli_matrix(base) @ u.conj().T
+                    assert np.allclose(img, dense.pauli_matrix(tab.row_pauli(row)), atol=1e-10)
+
+    def test_synthesis_roundtrip_beyond_one_word(self):
+        rng = np.random.default_rng(131)
+        tab = sb.random_clifford_tableau(70, rng)
+        assert tab.is_symplectic()
+        op = sb.CliffordOp(n=70, word=sb.synthesize_word(tab))
+        assert op.is_valid()
+        assert op.tableau().key() == tab.key()
+
+    def test_random_clifford_words_pinned(self):
+        # pins the rng stream and the synthesized words (recorded before bit-packing)
+        h = hashlib.sha256()
+        for t in range(1, 17):
+            h.update(repr(sb.random_clifford(t, np.random.default_rng(1000 + t)).word).encode())
+        assert h.hexdigest() == (
+            "febaf99bd4733c1bb899203d12d940d2c81eab7a9bdd2b02da8b30de3f07295a"
+        )
 
 
 class TestSerialization:
