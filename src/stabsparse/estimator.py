@@ -25,6 +25,7 @@ from .stabilizer import (
     CliffordOp,
     PauliOperator,
     Tableau,
+    _ones,
     apply_clifford,
     project_pauli,  # noqa: F401  (unused here; perfbench traces it at this name)
     random_clifford,
@@ -207,11 +208,6 @@ def rho1_distance(
     target = dense_target(model)
     rho = rho1_matrix(model, draw, trials, rng)
     return dense.trace_norm(rho - np.outer(target, np.conjugate(target)))
-
-
-def _ones(value: int) -> list:
-    """Positions of the set bits of a non-negative int, ascending."""
-    return [q for q in range(value.bit_length()) if (value >> q) & 1]
 
 
 def _product(left: dict, right: dict) -> dict:

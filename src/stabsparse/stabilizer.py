@@ -7,9 +7,11 @@ described by binary matrices G, F, M and a phase vector gamma (mod 4),
 ``U_H`` is a layer of Hadamards selected by the bit vector v, ``s`` is a
 computational basis string, and ``omega`` is an explicit complex global
 scalar.  Unlike a plain tableau, this form supports exact amplitudes and
-exact inner products (including global phase) at cost O(n^3).  Clifford
-words act on Paulis through :class:`Tableau`, which packs each qubit's x
-bits, z bits and all row signs into Python ints (Stim-style, arXiv:2103.02202).
+exact inner products (including global phase) at cost O(n^3).  Each row
+of G, F and M is one Python int, as are v and s, so a gate update is a few
+row XORs and a parity is one ``int.bit_count()``.  Clifford words act on
+Paulis through :class:`Tableau`, which packs each qubit's x bits, z bits
+and all row signs into Python ints (Stim-style, arXiv:2103.02202).
 
 Conventions: qubit q corresponds to bit q of an integer basis label
 (little endian).  A basis string ``"011"`` puts qubit 0 in |0> and qubits
@@ -31,8 +33,9 @@ _TWO_QUBIT_GATES = frozenset(["CX", "CZ"])
 _DAGGERS = {"S": "Sdg", "Sdg": "S"}
 
 
-def _parity(bits: np.ndarray) -> int:
-    return int(np.count_nonzero(bits)) & 1
+def _ones(value: int) -> list:
+    """Positions of the set bits of a non-negative int, ascending."""
+    return [q for q in range(value.bit_length()) if (value >> q) & 1]
 
 
 def bits_from_string(text: str) -> int:
@@ -273,9 +276,12 @@ def load_circuit(path: str, n: int) -> CliffordOp:
 class StabilizerState:
     """An n-qubit stabilizer state with exact global scalar.
 
-    Public module-level functions (:func:`zero_state`, :func:`apply_clifford`,
-    :func:`inner_product`, ...) treat states as immutable values; the
-    ``_apply_*`` methods mutate in place and are internal.
+    Row r of G, F and M is one Python int whose bit c is the matrix entry
+    (r, c); ``v`` and ``s`` are ints with bit q for qubit q and ``gamma``
+    is a list of ints mod 4.  Public module-level functions
+    (:func:`zero_state`, :func:`apply_clifford`, :func:`inner_product`,
+    ...) treat states as immutable values; the ``_apply_*`` methods mutate
+    in place and are internal.
     """
 
     __slots__ = ("n", "G", "F", "M", "gamma", "v", "s", "omega")
@@ -284,136 +290,130 @@ class StabilizerState:
         if n < 1:
             raise ValueError("qubit count must be at least 1")
         self.n = n
-        self.G = np.eye(n, dtype=bool)
-        self.F = np.eye(n, dtype=bool)
-        self.M = np.zeros((n, n), dtype=bool)
-        self.gamma = np.zeros(n, dtype=np.int64)
-        self.v = np.zeros(n, dtype=bool)
-        self.s = np.zeros(n, dtype=bool)
+        self.G = [1 << r for r in range(n)]
+        self.F = [1 << r for r in range(n)]
+        self.M = [0] * n
+        self.gamma = [0] * n
+        self.v = 0
+        self.s = 0
         self.omega: complex = 1.0 + 0.0j
 
     def copy(self) -> "StabilizerState":
         st = StabilizerState.__new__(StabilizerState)
-        st.n = self.n
-        st.G = self.G.copy()
-        st.F = self.F.copy()
-        st.M = self.M.copy()
-        st.gamma = self.gamma.copy()
-        st.v = self.v.copy()
-        st.s = self.s.copy()
-        st.omega = self.omega
+        st.n, st.v, st.s, st.omega = self.n, self.v, self.s, self.omega
+        st.G, st.F, st.M, st.gamma = list(self.G), list(self.F), list(self.M), list(self.gamma)
         return st
 
     def __repr__(self) -> str:
         return f"StabilizerState(n={self.n}, omega={self.omega:.6g})"
 
-    # -- right multiplications of U_C (used only inside _update_sum) --------
-
-    def _right_cx(self, q: int, r: int) -> None:
-        self.G[:, q] ^= self.G[:, r]
-        self.F[:, r] ^= self.F[:, q]
-        self.M[:, q] ^= self.M[:, r]
-
-    def _right_cz(self, q: int, r: int) -> None:
-        self.M[:, q] ^= self.F[:, r]
-        self.M[:, r] ^= self.F[:, q]
-        self.gamma += 2 * (self.F[:, q] & self.F[:, r])
-        self.gamma %= 4
-
-    def _right_s(self, q: int) -> None:
-        self.M[:, q] ^= self.F[:, q]
-        self.gamma -= self.F[:, q]
-        self.gamma %= 4
-
     # -- superposition update (Proposition 4 of arXiv:1808.00128) -----------
 
-    def _update_sum(self, t: np.ndarray, u: np.ndarray, delta: int, alpha: int) -> None:
-        """Rewrite U_H (|t> + i^delta |u>) / sqrt(2) into CH form.
+    def _update_sum(self, t: int, u: int, delta: int, alpha: int) -> None:
+        """Replace U_H |s> by (-1)^alpha U_H (|t> + i^delta |u>) / sqrt(2).
 
-        The incoming superposition is normalized by sqrt(2) when t != u;
-        for t == u the factor (1 + i^delta)/sqrt(2) * 1/sqrt(2)... is
-        carried entirely by omega so annihilation shows up as omega == 0.
+        For t == u the factor (-1)^alpha (1 + i^delta) / sqrt(2) goes into
+        omega, so an annihilated sum shows up as omega == 0.  Otherwise
+        right multiplications of U_C by CX, CZ and S reduce the sum to one
+        qubit q.  Within one call the CX and CZ chains never write a column
+        they read, so they collapse into one pass over the rows; the final
+        S on q, when needed, is a second pass.
         """
-        if np.array_equal(t, u):
-            self.s = t.copy()
+        if t == u:
+            self.s = t
             self.omega *= ((-1) ** alpha) * (1 + 1j**delta) / np.sqrt(2.0)
             return
 
-        set0 = np.flatnonzero(~self.v & (t ^ u))
-        set1 = np.flatnonzero(self.v & (t ^ u))
-
-        if len(set0) > 0:
-            q = int(set0[0])
-            for i in set0[1:]:
-                self._right_cx(q, int(i))
-            for i in set1:
-                self._right_cz(q, int(i))
+        v = self.v
+        set0 = (t ^ u) & ~v
+        set1 = (t ^ u) & v
+        low = set0 or set1
+        bq = low & -low
+        if t & bq:
+            y, z = u ^ bq, u
         else:
-            q = int(set1[0])
-            for i in set1[1:]:
-                self._right_cx(int(i), q)
-
-        if t[q]:
-            y, z = u.copy(), u.copy()
-            y[q] = not y[q]
-        else:
-            y, z = t.copy(), t.copy()
-            z[q] = not z[q]
-
-        omega, a, b, c = _h_decompose(bool(self.v[q]), bool(y[q]), bool(z[q]), delta)
-        self.s = y
-        self.s[q] = c
+            y, z = t, t ^ bq
+        omega, a, b, c = _h_decompose(bool(v & bq), bool(y & bq), bool(z & bq), delta)
+        self.s = (y & ~bq) | (bq if c else 0)
         self.omega *= ((-1) ** alpha) * omega
+        self.v = (v & ~bq) | (bq if b else 0)
+
+        G, F, M, gamma = self.G, self.F, self.M, self.gamma
+        rest = low ^ bq
+        if set0 and (rest or set1):
+            # right CX(q, i) for i in rest: G[:, q] ^= G[:, i], F[:, i] ^= F[:, q],
+            # M[:, q] ^= M[:, i]; then right CZ(q, i) for i in set1:
+            # M[:, q] ^= F[:, i], M[:, i] ^= F[:, q], gamma += 2 F[:, q] F[:, i]
+            for r in range(self.n):
+                f, m = F[r], M[r]
+                if (G[r] & rest).bit_count() & 1:
+                    G[r] ^= bq
+                if ((m & rest).bit_count() + (f & set1).bit_count()) & 1:
+                    m ^= bq
+                if f & bq:
+                    F[r] = f ^ rest
+                    m ^= set1
+                    gamma[r] = (gamma[r] + 2 * (f & set1).bit_count()) % 4
+                M[r] = m
+        elif rest:
+            # right CX(i, q) for i in rest: G[:, i] ^= G[:, q],
+            # F[:, q] ^= F[:, i], M[:, i] ^= M[:, q]
+            for r in range(self.n):
+                if G[r] & bq:
+                    G[r] ^= rest
+                if (F[r] & rest).bit_count() & 1:
+                    F[r] ^= bq
+                if M[r] & bq:
+                    M[r] ^= rest
         if a:
-            self._right_s(q)
-        self.v[q] = b
+            # right S(q): M[:, q] ^= F[:, q], gamma -= F[:, q]
+            for r in range(self.n):
+                if F[r] & bq:
+                    M[r] ^= bq
+                    gamma[r] = (gamma[r] - 1) % 4
 
     # -- left multiplications (gates acting on the state) --------------------
 
     def _apply_s(self, q: int) -> None:
-        self.M[q, :] ^= self.G[q, :]
+        self.M[q] ^= self.G[q]
         self.gamma[q] = (self.gamma[q] - 1) % 4
 
     def _apply_sdg(self, q: int) -> None:
-        self.M[q, :] ^= self.G[q, :]
+        self.M[q] ^= self.G[q]
         self.gamma[q] = (self.gamma[q] + 1) % 4
 
     def _apply_z(self, q: int) -> None:
         self.gamma[q] = (self.gamma[q] + 2) % 4
 
+    def _x_image(self, q: int):
+        """(u, beta) with X_q U_C U_H |s> = i^gamma_q (-1)^beta U_C U_H |u>."""
+        f, m, v, s = self.F[q], self.M[q], self.v, self.s
+        u = s ^ (f & ~v) ^ (m & v)
+        beta = ((m & ~v & s).bit_count() + (f & v & m).bit_count() + (f & v & s).bit_count()) & 1
+        return u, beta
+
     def _apply_x(self, q: int) -> None:
-        u = self.s ^ (self.F[q] & ~self.v) ^ (self.M[q] & self.v)
-        beta = (
-            _parity(self.M[q] & ~self.v & self.s)
-            ^ _parity(self.F[q] & self.v & self.M[q])
-            ^ _parity(self.F[q] & self.v & self.s)
-        )
-        self.omega *= (1j ** int(self.gamma[q])) * ((-1) ** beta)
+        u, beta = self._x_image(q)
+        self.omega *= (1j ** self.gamma[q]) * ((-1) ** beta)
         self.s = u
 
     def _apply_cz(self, q: int, r: int) -> None:
-        self.M[q, :] ^= self.G[r, :]
-        self.M[r, :] ^= self.G[q, :]
+        self.M[q] ^= self.G[r]
+        self.M[r] ^= self.G[q]
 
     def _apply_cx(self, q: int, r: int) -> None:
-        self.gamma[q] = (
-            self.gamma[q] + self.gamma[r] + 2 * _parity(self.M[q] & self.F[r])
-        ) % 4
-        self.G[r, :] ^= self.G[q, :]
-        self.F[q, :] ^= self.F[r, :]
-        self.M[q, :] ^= self.M[r, :]
+        G, F, M, gamma = self.G, self.F, self.M, self.gamma
+        gamma[q] = (gamma[q] + gamma[r] + 2 * ((M[q] & F[r]).bit_count() & 1)) % 4
+        G[r] ^= G[q]
+        F[q] ^= F[r]
+        M[q] ^= M[r]
 
     def _apply_h(self, q: int) -> None:
-        t = self.s ^ (self.G[q] & self.v)
-        u = self.s ^ (self.F[q] & ~self.v) ^ (self.M[q] & self.v)
-        alpha = _parity(self.G[q] & ~self.v & self.s)
-        beta = (
-            _parity(self.M[q] & ~self.v & self.s)
-            ^ _parity(self.F[q] & self.v & self.M[q])
-            ^ _parity(self.F[q] & self.v & self.s)
-        )
-        delta = int((self.gamma[q] + 2 * (alpha ^ beta)) % 4)
-        self._update_sum(t, u, delta=delta, alpha=alpha)
+        g, v, s = self.G[q], self.v, self.s
+        u, beta = self._x_image(q)
+        alpha = (g & ~v & s).bit_count() & 1
+        delta = (self.gamma[q] + 2 * (alpha ^ beta)) % 4
+        self._update_sum(s ^ (g & v), u, delta=delta, alpha=alpha)
 
     def _apply_gate(self, name: str, qubits: Sequence[int]) -> None:
         if name == "H":
@@ -441,20 +441,19 @@ class StabilizerState:
 
     def amplitude(self, basis: int) -> complex:
         """Exact amplitude <basis|psi> (basis little endian)."""
-        y = np.array([(basis >> q) & 1 for q in range(self.n)], dtype=bool)
         mu = 0
-        u = np.zeros(self.n, dtype=bool)
-        for p in np.flatnonzero(y):
-            mu += int(self.gamma[p])
+        u = 0
+        for p in _ones(basis):
+            mu += self.gamma[p]
             u ^= self.F[p]
-            mu += 2 * _parity(self.M[p] & u)
-        if not np.all(self.v | (u == self.s)):
+            mu += 2 * ((self.M[p] & u).bit_count() & 1)
+        if (u ^ self.s) & ~self.v:
             return 0.0 + 0.0j
         return (
             self.omega
-            * 2.0 ** (-int(np.count_nonzero(self.v)) / 2.0)
+            * 2.0 ** (-self.v.bit_count() / 2.0)
             * 1j ** (mu % 4)
-            * (-1.0) ** _parity(self.v & u & self.s)
+            * (-1.0) ** ((self.v & u & self.s).bit_count() & 1)
         )
 
     def to_dense(self) -> np.ndarray:
@@ -475,6 +474,7 @@ class StabilizerState:
         CZ/S gates, then removes the Hadamard layer and the basis string.
         """
         st = self.copy()
+        G, M = st.G, st.M
         ops: list = []
 
         def emit(name, *qubits):
@@ -483,22 +483,23 @@ class StabilizerState:
 
         n = st.n
         for j in range(n):
-            if not st.G[j, j]:
-                k = next(i for i in range(j + 1, n) if st.G[i, j])
+            bj = 1 << j
+            if not G[j] & bj:
+                k = next(i for i in range(j + 1, n) if G[i] & bj)
                 emit("CX", k, j)
                 emit("CX", j, k)
                 emit("CX", k, j)
             for i in range(n):
-                if i != j and st.G[i, j]:
+                if i != j and G[i] & bj:
                     emit("CX", j, i)
         # With G = F = identity the remaining U_C is diagonal, so left and
         # right multiplications by CZ/S coincide and clear M directly.
         for r in range(n):
             for c in range(r + 1, n):
-                if st.M[r, c]:
+                if (M[r] >> c) & 1:
                     emit("CZ", r, c)
         for q in range(n):
-            if st.M[q, q]:
+            if (M[q] >> q) & 1:
                 if st.gamma[q] % 4 == 3:
                     emit("S", q)
                 else:
@@ -506,10 +507,10 @@ class StabilizerState:
         for q in range(n):
             if st.gamma[q] % 4 == 2:
                 emit("Z", q)
-        for q in np.flatnonzero(st.v):
-            emit("H", int(q))
-        for q in np.flatnonzero(st.s):
-            emit("X", int(q))
+        for q in _ones(st.v):
+            emit("H", q)
+        for q in _ones(st.s):
+            emit("X", q)
         return ops
 
     def inner_product(self, other: "StabilizerState") -> complex:
@@ -530,8 +531,7 @@ class StabilizerState:
 
     def _conjugated_pauli(self, p: PauliOperator):
         """Return (a, b, mu) with U_H^† U_C^† P U_C U_H = i^mu X^a Z^b."""
-        a = np.zeros(self.n, dtype=bool)
-        b = np.zeros(self.n, dtype=bool)
+        a = b = 0
         mu = p.xz_phase_power()
         if p.phase == -1:
             mu += 2
@@ -541,19 +541,16 @@ class StabilizerState:
             mu += 3
         # push through U_C row by row: U_C^† X_q U_C = i^gamma_q X^{F_q} Z^{M_q},
         # U_C^† Z_q U_C = Z^{G_q}
-        for q in range(self.n):
-            if (p.x_bits >> q) & 1:
-                mu += int(self.gamma[q]) + 2 * _parity(b & self.F[q])
-                a ^= self.F[q]
-                b ^= self.M[q]
-        for q in range(self.n):
-            if (p.z_bits >> q) & 1:
-                b ^= self.G[q]
+        for q in _ones(p.x_bits):
+            mu += self.gamma[q] + 2 * ((b & self.F[q]).bit_count() & 1)
+            a ^= self.F[q]
+            b ^= self.M[q]
+        for q in _ones(p.z_bits):
+            b ^= self.G[q]
         # push through U_H: swap (x, z) on Hadamard qubits, Y picks up a sign
-        mu += 2 * int(np.count_nonzero(a & b & self.v))
-        a_h = np.where(self.v, b, a)
-        b_h = np.where(self.v, a, b)
-        return a_h, b_h, mu % 4
+        v = self.v
+        mu += 2 * (a & b & v).bit_count()
+        return (b & v) | (a & ~v), (a & v) | (b & ~v), mu % 4
 
     def _project_pauli_inplace(self, p: PauliOperator, outcome: int) -> Optional[float]:
         """Apply (I + outcome*P)/2; return the squared-norm factor.
@@ -568,11 +565,10 @@ class StabilizerState:
         if p.n != self.n:
             raise ValueError("qubit counts differ")
         a, b, mu = self._conjugated_pauli(p)
-        mu = (mu + 2 * _parity(b & self.s)) % 4
+        mu = (mu + 2 * (b & self.s).bit_count()) % 4
         if outcome == -1:
             mu = (mu + 2) % 4
-        u = self.s ^ a
-        if np.array_equal(u, self.s):
+        if a == 0:
             if mu % 2 != 0:
                 raise ValueError("inconsistent phase; Pauli is not Hermitian")
             if mu == 0:
@@ -580,7 +576,7 @@ class StabilizerState:
             return None
         # The halved weight is reported through the returned factor; the
         # update keeps |omega| so the surviving state retains its norm.
-        self._update_sum(self.s.copy(), u, delta=mu, alpha=0)
+        self._update_sum(self.s, self.s ^ a, delta=mu, alpha=0)
         return 0.5
 
 
@@ -619,18 +615,26 @@ def product_state(selectors: Sequence[int]) -> StabilizerState:
     """Tensor product of |0> (selector 0) and |+> (selector 1) qubits."""
     if len(selectors) == 0:
         raise ValueError("selector list must be nonempty")
-    st = StabilizerState(len(selectors))
+    bits = 0
     for q, sel in enumerate(selectors):
         if sel == PLUS:
-            st._apply_h(q)
+            bits |= 1 << q
         elif sel != ZERO:
             raise ValueError("selectors must be 0 (|0>) or 1 (|+>)")
-    return st
+    return product_state_from_bits(bits, len(selectors))
 
 
 def product_state_from_bits(bits: int, n: int) -> StabilizerState:
-    """Product state with qubit q in |+> iff bit q of ``bits`` is set."""
-    return product_state([(bits >> q) & 1 for q in range(n)])
+    """Product state with qubit q in |+> iff bit q of ``bits`` is set.
+
+    On |0...0> a Hadamard only sets bit q of v (omega stays 1), so the
+    Hadamard layer is v = bits.
+    """
+    if bits < 0 or bits >> n:
+        raise ValueError("bits exceed the qubit count")
+    st = StabilizerState(n)
+    st.v = bits
+    return st
 
 
 def apply_clifford(state: StabilizerState, op: CliffordOp) -> StabilizerState:
@@ -676,46 +680,39 @@ def project_pauli(state: StabilizerState, p: PauliOperator, outcome: int):
 # ---------------------------------------------------------------------------
 
 
-def _solve_affine_gf2(rows: list, rhs: list, width: int, rng) -> int:
-    """Uniform solution x of the GF(2) system row_i . x = rhs_i (bitmask rows).
+def _add_row(echelon: dict, row: int, width: int) -> None:
+    """Insert a GF(2) row into a reduced echelon form, in place.
 
-    Returns a uniformly random element of the solution affine space.
-    Raises ValueError if the system is inconsistent.
+    ``echelon`` maps each pivot column (the lowest set bit of its row) to
+    its row; no row has a bit in another row's pivot column.  Bit
+    ``width`` of a row is its right-hand side.  A dependent row is
+    dropped; an inconsistent one raises ValueError.
     """
-    # Gaussian elimination with recorded pivots.
-    rows = list(rows)
-    rhs = list(rhs)
-    pivots = []
-    r = 0
-    for col in range(width):
-        sel = None
-        for i in range(r, len(rows)):
-            if (rows[i] >> col) & 1:
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        rhs[r], rhs[sel] = rhs[sel], rhs[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> col) & 1:
-                rows[i] ^= rows[r]
-                rhs[i] ^= rhs[r]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rhs[i]:
+    for col, r in echelon.items():
+        if (row >> col) & 1:
+            row ^= r
+    low = row & ((1 << width) - 1)
+    if not low:
+        if row:
             raise ValueError("inconsistent GF(2) system")
-    free_cols = [c for c in range(width) if c not in pivots]
-    x = 0
-    for c in free_cols:
-        if rng.integers(2):
-            x |= 1 << c
-    for i, col in enumerate(pivots):
-        val = rhs[i] ^ ((rows[i] & x).bit_count() & 1) ^ ((x >> col) & 1)
-        if val:
+        return
+    col = (low & -low).bit_length() - 1
+    for c, r in echelon.items():
+        if (r >> col) & 1:
+            echelon[c] = r ^ row
+    echelon[col] = row
+
+
+def _draw_solution(echelon: dict, width: int, rng) -> int:
+    """Uniform solution of a reduced echelon system: one rng bit per free
+    column in ascending order, then each pivot bit from its row."""
+    free = 0
+    for c in range(width):
+        if c not in echelon and rng.integers(2):
+            free |= 1 << c
+    x = free
+    for col, r in echelon.items():
+        if ((r & free).bit_count() + (r >> width)) & 1:
             x |= 1 << col
     return x
 
@@ -734,31 +731,28 @@ def random_clifford_tableau(t: int, rng) -> Tableau:
     constraints with rows < i, and its Z image uniform over vectors
     pairing 1 with it; sign bits are uniform.  Each step is uniform over
     exactly the allowed completions, so the overall draw is uniform over
-    the full Clifford group (modulo global phase).
+    the full Clifford group (modulo global phase).  One reduced echelon
+    form of the constraints is carried across the rows; being unique, it
+    fixes the free columns, hence the rng stream, whatever the row order.
     """
     if t < 1:
         raise ValueError("qubit count must be at least 1")
     width = 2 * t
+    echelon: dict = {}
     xs: list = []
     zs: list = []
     for _ in range(t):
-        rows = []
-        rhs = []
-        for v in xs:
-            rows.append(_symplectic_pairing_row(v, t))
-            rhs.append(0)
-        for w in zs:
-            rows.append(_symplectic_pairing_row(w, t))
-            rhs.append(0)
         while True:
-            v = _solve_affine_gf2(rows, rhs, width, rng)
+            v = _draw_solution(echelon, width, rng)
             if v != 0:
                 break
-        rows_w = rows + [_symplectic_pairing_row(v, t)]
-        rhs_w = rhs + [1]
-        w = _solve_affine_gf2(rows_w, rhs_w, width, rng)
+        with_v = dict(echelon)
+        _add_row(with_v, _symplectic_pairing_row(v, t) | (1 << width), width)
+        w = _draw_solution(with_v, width, rng)
         xs.append(v)
         zs.append(w)
+        _add_row(echelon, _symplectic_pairing_row(v, t), width)
+        _add_row(echelon, _symplectic_pairing_row(w, t), width)
     tab = Tableau(t)
     cols = _transpose(xs + zs, 2 * t)
     tab.x, tab.z = cols[:t], cols[t:]

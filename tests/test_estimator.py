@@ -57,6 +57,20 @@ class TestExactSqnorm:
         )
         assert estimator.exact_sqnorm(d).value == estimator.exact_sqnorm(shuffled).value
 
+    def test_entry_reordering_invariant_across_tiles(self):
+        # k > 1024 splits the Gram sum into several row tiles, and reversal
+        # changes how the tile sums associate, so agreement is to rounding
+        k = 1500
+        assert estimator._TILE_ENTRIES // k < k
+        m = magic.magic_model(PI4, 8)
+        d = magic.sample_iid(m, k, np.random.default_rng(2))
+        shuffled = magic.SparseDecomposition(
+            t=8, k=k, prefactor=d.prefactor, entries=tuple(reversed(d.entries)),
+            mode=magic.IID,
+        )
+        want = estimator.exact_sqnorm(d).value
+        assert estimator.exact_sqnorm(shuffled).value == pytest.approx(want, rel=1e-12)
+
     def test_terms_path_matches_fast_path(self):
         m = magic.magic_model(PI4, 4)
         d = magic.sample_iid(m, 7, np.random.default_rng(2))

@@ -1,11 +1,12 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabsparse import dense
+from stabsparse import dense, estimator, magic
 from stabsparse import stabilizer as sb
 
 
@@ -56,6 +57,11 @@ class TestConstruction:
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
             sb.product_state([])
+
+    @pytest.mark.parametrize("bits", [-1, 0b1000])
+    def test_bits_beyond_qubit_count_rejected(self, bits):
+        with pytest.raises(ValueError):
+            sb.product_state_from_bits(bits, 3)
 
 
 class TestCliffordApplication:
@@ -284,6 +290,61 @@ class TestPackedTableau:
         assert h.hexdigest() == (
             "febaf99bd4733c1bb899203d12d940d2c81eab7a9bdd2b02da8b30de3f07295a"
         )
+
+    def test_random_clifford_words_pinned_beyond_one_word(self):
+        # pins the incremental elimination of random_clifford_tableau to the
+        # words of the full per-row elimination it replaced
+        h = hashlib.sha256()
+        for t in (24, 32, 64):
+            h.update(repr(sb.random_clifford(t, np.random.default_rng(1000 + t)).word).encode())
+        assert h.hexdigest() == (
+            "4fbbdbe7139fca4e07d976fc8d04760c01214bf011f5283568f150d51deb0bae"
+        )
+
+    def test_fastnorm_ch_values_pinned(self):
+        # t = 13 and 16 are above the dense cap, so every draw runs the CH
+        # form; the digest was recorded on the numpy-bool CH form
+        h = hashlib.sha256()
+        for t, seed in ((13, 0), (13, 1), (16, 2), (16, 3)):
+            model = magic.magic_model(math.pi / 4, t)
+            d = magic.sample_iid(model, 6, np.random.default_rng(seed))
+            value = estimator.fastnorm(d, 8, np.random.default_rng(100 + seed)).value
+            h.update(repr(value).encode())
+        assert h.hexdigest() == (
+            "ca127940a6b54c1115652d66210863b2d54b44b07865f53b2014cf4ff79e0196"
+        )
+
+
+class TestCHFormBeyondOneWord:
+    """At n = 70 every CH-form row spans two 64-bit words; the packed
+    tableau of the same word is the oracle, no dense vector is needed."""
+
+    N = 70
+
+    def state(self, rng):
+        op = sb.random_clifford_word(self.N, 400, rng)
+        return op, sb.apply_clifford(sb.zero_state(self.N), op)
+
+    def test_stabilized_by_tableau_z_images(self):
+        op, stt = self.state(np.random.default_rng(141))
+        tab = op.tableau()
+        for q in range(self.N):
+            p = tab.row_pauli(self.N + q)
+            assert sb.project_pauli(stt, p, 1)[1] == 1.0
+            assert sb.project_pauli(stt, p, -1) is None
+
+    def test_inner_products(self):
+        rng = np.random.default_rng(142)
+        _, a = self.state(rng)
+        _, b = self.state(rng)
+        norm = abs(a.omega) ** 2
+        assert abs(sb.inner_product(a, a) - norm) <= 1e-12 * norm
+        assert abs(sb.inner_product(a, b) - np.conjugate(sb.inner_product(b, a))) <= 1e-12
+        # a neighbour of a has a complex overlap with it, so the symmetry bites
+        near = sb.apply_clifford(a, sb.CliffordOp(self.N, (("H", (3,)), ("S", (4,)), ("H", (4,)))))
+        ip = sb.inner_product(a, near)
+        assert abs(abs(ip) - 0.5) <= 1e-12 and abs(ip.imag) > 0.1
+        assert abs(ip - np.conjugate(sb.inner_product(near, a))) <= 1e-12
 
 
 class TestSerialization:
