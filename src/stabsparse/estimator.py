@@ -1,13 +1,15 @@
 """Norms, approximation-error diagnostics and Pauli-outcome estimation.
 
 Every exact quantity comes from one closed-form Gram kernel over the
-|0>/|+> product terms, sum_ij conj(a_i) a_j <phi_i| X^x Z^z |phi_j>,
-computed by popcounts on packed bits in row tiles; ``exact_sqnorm`` is its
-x = z = 0 case.  Monte-Carlo norm estimation samples random stabilizer
-states instead.  Probability estimation conjugates each measured Pauli
-back through the Clifford circuit (Heisenberg picture), so a joint outcome
-probability is a telescoping product of ratios of such norms.
-``sqnorm_terms`` keeps the CH-form path as the test reference.
+|0>/|+> product terms, sum_ij conj(a_i) a_j <phi_i| P |phi_j> for a Pauli
+sum P, by popcounts on packed bits over the upper triangle in row tiles,
+summed as real 2 x 2 products of [Re a, Im a] with terms in canonical order
+(see ``_gram``); ``exact_sqnorm`` is its P = I case.  Monte-Carlo norm
+estimation samples random stabilizer states instead.  Probability
+estimation conjugates each measured Pauli back through the Clifford circuit
+(Heisenberg picture), so a joint outcome probability is a telescoping
+product of ratios of such norms.  ``sqnorm_terms`` keeps the CH-form path as
+the test reference.
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ class ProbabilityEstimate:
     circuit_id: Optional[str] = None
 
 
-#: entries per (row tile x k) Gram block: temporaries stay O(tile * k), never k x k
-_TILE_ENTRIES = 1 << 20
+#: entries per row-tile Gram block: temporaries stay O(tile * k) and in cache
+_TILE_ENTRIES = 1 << 18
 
 
 def _words(values: Sequence[int], t: int) -> np.ndarray:
@@ -73,33 +75,68 @@ def _words(values: Sequence[int], t: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(values), width)
 
 
-def _gram(bits: np.ndarray, amps: np.ndarray, x: int, z: int) -> complex:
-    """sum_ij conj(a_i) a_j <phi_i| X^x Z^z |phi_j> over |0>/|+> products.
+def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
+    """Packed bits and k x 2 rows [Re, Im] of r_b * scale * phase, with
+    r_b = 2^((h - |b|)/2) as ``_gram`` takes them, sorted by (bits, Re, Im)
+    so that a Gram sum is independent of the entry order."""
+    bits = _words([x for x, _ in decomp.entries], decomp.t)
+    ri = (decomp.phases() * scale).view(np.float64).reshape(-1, 2)
+    order = np.lexsort((ri[:, 1], ri[:, 0], *bits.T))
+    bits, ri = bits[order], ri[order]
+    r = np.exp2(16 * bits.shape[1] - 0.5 * np.bitwise_count(bits).sum(axis=-1))
+    return bits, ri * r[:, None]
 
-    ``bits`` holds the product labels as uint64 words (a set bit is |+>).
-    An entry is 0 if any qubit has x & ~a & ~b or z & a & b, else
-    2^(-|a ^ b|/2) (-1)^|x & z & ~a & b|; rows go tile by tile.
+
+def _gram(bits: np.ndarray, ri: np.ndarray, pauli_sum: dict) -> complex:
+    """sum_P c_P sum_ij conj(a_i) a_j <phi_i| P |phi_j> over |0>/|+> products.
+
+    ``bits`` holds the labels as uint64 words (a set bit is |+>), ``ri`` the
+    amplitudes as rows r_b [Re a, Im a] from ``_terms``, ``pauli_sum``
+    {(x, z): c} for sum c X^x Z^z.  An entry of G_P is 0 if a qubit has
+    x & ~a & ~b or z & a & b, else 2^(-|a ^ b|/2) (-1)^|x & z & b| (live
+    x & z qubits have one of a, b set).  With r_b = 2^((h - |b|)/2) in the
+    amplitudes, the overlap is an exact 2^(|a & b| - h) (h = 32 per word
+    keeps both in range): one tile per row tile serves all Paulis, each
+    adding its dead mask and column signs.  G_P^T = (-1)^|x & z| G_P, so row
+    tile I meets only columns lo: and an off-diagonal block's z adds its
+    mirror (-1)^|x & z| conj(z).  Blocks sum as the real 2 x 2
+    M = ri_I^T G ri_J, and a_I^dag G a_J = M00 + M11 + i(M01 - M10).
     """
     k, width = bits.shape
-    xw, zw = _words([x, z], 64 * width)
-    overlap = np.exp2(-0.5 * np.arange(64 * width + 1))
-    tile = max(1, _TILE_ENTRIES // max(k, 1))
-    total = 0j
+    if width > 16:
+        raise ValueError("the Gram kernel's power-of-two scaling covers t <= 1024")
+    h, keys = 32 * width, list(pauli_sum)
+    words = _words([x for x, _ in keys] + [z for _, z in keys], 64 * width)
+    xw, zw = words.reshape(2, len(keys), 1, 1, width)
+    sri = ri[None]  # (Paulis, k, 2) with each Pauli's column signs
+    if any(x & z for x, z in keys):
+        odd = np.bitwise_count(bits & (xw & zw)[:, 0]).sum(axis=-1) & 1
+        sri = np.where(odd[..., None], -ri, ri)
+    m = np.zeros((2, len(keys), 2, 2))  # diagonal and off-diagonal blocks
+    tile = max(1, _TILE_ENTRIES // max(k * len(keys), 1))
     for lo in range(0, k, tile):
-        a = bits[lo:lo + tile, None, :]
-        gram = overlap[np.bitwise_count(a ^ bits).sum(axis=-1)]
-        if x or z:
-            odd = np.bitwise_count(xw & zw & ~a & bits).sum(axis=-1) & 1
-            dead = ((xw & ~(a | bits)) | (zw & a & bits)).any(axis=-1)
-            gram = np.where(dead, 0.0, np.where(odd, -gram, gram))
-        total += np.conjugate(amps[lo:lo + tile]) @ gram @ amps
+        hi = min(lo + tile, k)
+        a, b = bits[lo:hi, None, :], bits[None, lo:, :]
+        both = a & b
+        cnt = np.bitwise_count(both)
+        g = np.ldexp(2.0**-h, cnt[..., 0] if width == 1 else cnt.sum(axis=-1, dtype=np.int32))
+        if any(x or z for x, z in keys):
+            g = np.where((xw & ~(a | b)).any(axis=-1) | (zw & both).any(axis=-1), 0.0, g)
+        m[0] += ri[lo:hi].T @ (g[..., :hi - lo] @ sri[:, lo:hi])
+        if hi < k:
+            m[1] += ri[lo:hi].T @ (g[..., hi - lo:] @ sri[:, hi:])
+    total = 0j
+    for (x, z), (d0, d1), (o0, o1) in zip(keys, m[0].tolist(), m[1].tolist()):
+        off = complex(o0[0] + o1[1], o0[1] - o1[0])
+        off += (-1) ** (x & z).bit_count() * off.conjugate()
+        total += pauli_sum[x, z] * (complex(d0[0] + d1[1], d0[1] - d1[0]) + off)
     return total
 
 
 def exact_sqnorm(decomp: SparseDecomposition) -> NormEstimate:
     """Exact <psi|psi> of a product-term decomposition in O(k^2)."""
-    bits = _words([x for x, _ in decomp.entries], decomp.t)
-    total = _gram(bits, decomp.phases(), 0, 0).real
+    bits, ri = _terms(decomp)
+    total = _gram(bits, ri, {(0, 0): 1}).real
     value = float(decomp.prefactor**2 * total)
     return NormEstimate(value=max(value, 0.0), method=EXACT)
 
@@ -265,16 +302,14 @@ def pauli_prob(
     if circuit.n != decomp.t:
         raise ValueError("circuit and decomposition disagree on qubit count")
     tab = circuit.inverse_tableau()
-    bits = _words([x for x, _ in decomp.entries], decomp.t)
-    amps = decomp.prefactor * decomp.phases()
+    bits, ri = _terms(decomp, decomp.prefactor)
 
     def measure_norm(op: dict, op_dag: dict) -> float:
         if not op:
             return 0.0
         if method == FASTNORM:
             return _sampled_sqnorm(decomp, op, fastnorm_samples, rng)
-        gram = _product(op_dag, op)
-        return float(sum(c * _gram(bits, amps, x, z) for (x, z), c in gram.items()).real)
+        return float(_gram(bits, ri, _product(op_dag, op)).real)
 
     # O_j and O_j^dag = Pi'_1 ... Pi'_j, grown one projector at a time
     op = op_dag = {(0, 0): 1.0}

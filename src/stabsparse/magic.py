@@ -163,8 +163,14 @@ class SparseDecomposition:
                 (int(e["x"], 16), complex(e["phase"][0], e["phase"][1]))
                 for e in data["entries"]
             )
+            t = int(data["t"])
+            if t < 1:
+                raise ValueError(f"decomposition needs t >= 1, got t = {t}")
+            for x, _ in entries:
+                if x < 0 or x.bit_length() > t:
+                    raise ValueError(f"bitstring {x:x} does not fit in t = {t} bits")
             return cls(
-                t=int(data["t"]),
+                t=t,
                 k=int(data["k"]),
                 prefactor=float(data["prefactor"]),
                 entries=entries,
@@ -188,33 +194,27 @@ class SparseDecomposition:
             return cls.from_json(json.load(fh))
 
 
-def _entry_phase(model: MagicModel, bits: int) -> complex:
-    ones = popcount(bits)
-    return model.u0 ** (model.t - ones) * model.u1 ** ones
-
-
-def _draw_seed_bits(model: MagicModel, rng) -> int:
-    draws = rng.random(model.t) < model.p1
-    bits = 0
-    for q in range(model.t):
-        if draws[q]:
-            bits |= 1 << q
-    return bits
+def _sample_entries(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
+    """(seed ^ shift, u0^(t-w) u1^w) for m i.i.d. Bernoulli(p1) seeds and each
+    shift, w the Hamming weight.  One ``rng.random((m, t))`` call draws the
+    same stream as m calls of ``rng.random(t)``; bit q of seed i is draw (i, q).
+    """
+    packed = np.packbits(rng.random((m, model.t)) < model.p1, axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    seeds = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
+    table = [model.u0 ** (model.t - w) * model.u1**w for w in range(model.t + 1)]
+    return tuple((b, table[b.bit_count()]) for b in (s ^ d for s in seeds for d in shifts))
 
 
 def sample_iid(model: MagicModel, k: int, rng, mode: str = IID) -> SparseDecomposition:
     """k-term sparsification with bits i.i.d. Bernoulli(p1) per qubit."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    entries = []
-    for _ in range(k):
-        bits = _draw_seed_bits(model, rng)
-        entries.append((bits, _entry_phase(model, bits)))
     return SparseDecomposition(
         t=model.t,
         k=k,
         prefactor=model.l1 / k,
-        entries=tuple(entries),
+        entries=_sample_entries(model, k, rng),
         mode=mode,
     )
 
@@ -250,26 +250,17 @@ def sample_correlated(
             stacklevel=2,
         )
     size = f_t + 1
-    m_groups = math.ceil(k_total / size)
-    entries = []
-    groups = []
-    for _ in range(m_groups):
-        seed_bits = _draw_seed_bits(model, rng)
-        start = len(entries)
-        entries.append((seed_bits, _entry_phase(model, seed_bits)))
-        for j in range(f_t):
-            bits = seed_bits ^ masks.masks[j]
-            entries.append((bits, _entry_phase(model, bits)))
-        groups.append((start, size))
+    shifts = (0,) + tuple(masks.masks[:f_t])
+    entries = _sample_entries(model, math.ceil(k_total / size), rng, shifts)
     k = len(entries)
     return SparseDecomposition(
         t=model.t,
         k=k,
         prefactor=model.l1 / k,
-        entries=tuple(entries),
+        entries=entries,
         mode=mode,
         f_t=f_t,
-        groups=tuple(groups),
+        groups=tuple((start, size) for start in range(0, k, size)),
     )
 
 

@@ -317,6 +317,24 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "entries" in err and len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("t, x, needle", [
+        (4, "1f", "does not fit in t = 4 bits"),
+        (4, "-1", "does not fit in t = 4 bits"),
+        (4, "f" * 20, "does not fit in t = 4 bits"),
+        (0, "0", "t >= 1"),
+        (-3, "0", "t >= 1"),
+    ], ids=["bits-above-t", "negative-bits", "twenty-hex-digits", "t-zero", "t-negative"])
+    def test_estimate_malformed_decomposition_exit_3(self, t, x, needle, tmp_path, capsys):
+        decomp_path = tmp_path / "d.json"
+        decomp_path.write_text(json.dumps({
+            "t": t, "k": 1, "prefactor": 1.0, "mode": "IID",
+            "entries": [{"x": x, "phase": [1.0, 0.0]}],
+        }))
+        paulis = "Z" * max(t, 1) + ",+"
+        assert cli.main(["estimate", "--decomp", str(decomp_path), "--paulis", paulis]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
     def test_estimate_circuit_missing_qubits_exit_3(self, tmp_path, capsys):
         decomp_path = tmp_path / "d.json"
         cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",

@@ -58,8 +58,7 @@ class TestExactSqnorm:
         assert estimator.exact_sqnorm(d).value == estimator.exact_sqnorm(shuffled).value
 
     def test_entry_reordering_invariant_across_tiles(self):
-        # k > 1024 splits the Gram sum into several row tiles, and reversal
-        # changes how the tile sums associate, so agreement is to rounding
+        # k = 1500 splits the Gram sum into several row tiles
         k = 1500
         assert estimator._TILE_ENTRIES // k < k
         m = magic.magic_model(PI4, 8)
@@ -524,7 +523,112 @@ class TestGramKernel:
             # keep that pair's entry alive; x & z gives Y factors
             x = (bits[i] | bits[i + 1]) & int.from_bytes(rng.bytes(12), "little")
             z = ~(bits[i] & bits[i + 1]) & full & int.from_bytes(rng.bytes(12), "little")
-            got = estimator._gram(estimator._words(bits, self.T), d.phases(), x, z)
+            got = estimator._gram(*estimator._terms(d), {(x, z): 1})
             want = self.brute(bits, d.phases(), x, z)
             assert abs(want) > 1e-6
             assert abs(got - want) <= 1e-12 * abs(want)
+
+    def test_fold_matches_brute_force_antisymmetric(self, monkeypatch):
+        # k = 23 over tiles of 64 // 23 = 2 rows: eleven full tiles and a
+        # partial last one; odd |x & z| makes G_P antisymmetric
+        monkeypatch.setattr(estimator, "_TILE_ENTRIES", 64)
+        rng = np.random.default_rng(45)
+        d = self.decomposition(rng, k=23)
+        bits = [b for b, _ in d.entries]
+        full = (1 << self.T) - 1
+        checked = 0
+        for i in range(22):
+            x = (bits[i] | bits[i + 1]) & int.from_bytes(rng.bytes(12), "little")
+            z = ~(bits[i] & bits[i + 1]) & full & int.from_bytes(rng.bytes(12), "little")
+            if (x & z).bit_count() % 2 == 0:
+                continue
+            checked += 1
+            want = self.brute(bits, d.phases(), x, z)
+            got = estimator._gram(*estimator._terms(d), {(x, z): 1})
+            assert abs(want) > 1e-6
+            assert abs(got - want) <= 1e-12 * abs(want)
+            # the whole sum in one call equals the sum of single-Pauli calls
+            pair = {(x, z): 0.5 - 0.25j, (x ^ bits[i], z): 2.0}
+            want_pair = sum(c * self.brute(bits, d.phases(), *key) for key, c in pair.items())
+            got_pair = estimator._gram(*estimator._terms(d), pair)
+            assert abs(got_pair - want_pair) <= 1e-12 * abs(want_pair)
+        assert checked >= 5
+
+    def test_wider_than_1024_bits_rejected(self):
+        d = magic.SparseDecomposition(
+            t=1100, k=2, prefactor=1.0, entries=((0, 1.0), (1 << 1099, 1.0)), mode=magic.IID
+        )
+        with pytest.raises(ValueError, match="t <= 1024"):
+            estimator.exact_sqnorm(d)
+
+    def test_pauli_prob_matches_dense_across_tiles(self, monkeypatch):
+        # k = 300 with 2^12-entry blocks and up to 16 Paulis per norm: row
+        # tiles of one to 13 rows, off-diagonal blocks on every tile but the last
+        monkeypatch.setattr(estimator, "_TILE_ENTRIES", 1 << 12)
+        rng = np.random.default_rng(46)
+        for t in (5, 8):
+            d = magic.sample_iid(magic.magic_model(PI4, t), 300, rng)
+            circuit = sb.random_clifford_word(t, 80, rng)
+            for _ in range(3):
+                chain = [(sb.random_pauli(t, rng), int(rng.choice([1, -1]))) for _ in range(4)]
+                est = estimator.pauli_prob(d, circuit, chain)
+                truth = dense_chain_steps(d, circuit, chain)
+                assert est.step_values == pytest.approx(truth, abs=1e-9)
+                assert est.raw_value == pytest.approx(math.prod(truth), abs=1e-9)
+
+
+class TestCanonicalOrder:
+    """exact_sqnorm and pauli_prob depend only on the multiset of terms: any
+    permutation of the entries gives bit-equal results."""
+
+    @staticmethod
+    def permuted(d, rng):
+        order = rng.permutation(d.k)
+        return magic.SparseDecomposition(
+            t=d.t, k=d.k, prefactor=d.prefactor,
+            entries=tuple(d.entries[i] for i in order), mode=d.mode,
+        )
+
+    @pytest.mark.parametrize("tile_entries", [1 << 18, 1 << 10, 97])
+    def test_exact_sqnorm_bit_equal_under_permutation(self, tile_entries, monkeypatch):
+        monkeypatch.setattr(estimator, "_TILE_ENTRIES", tile_entries)
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            t = (2, 4, 8, 32)[seed % 4]
+            d = magic.sample_iid(magic.magic_model(PI4, t), int(rng.integers(2, 60)), rng)
+            if seed % 3 == 0:  # repeated terms with different phases
+                d = magic.SparseDecomposition(
+                    t=t, k=d.k + 2, prefactor=d.prefactor, mode=d.mode,
+                    entries=d.entries + ((d.entries[0][0], 1j), (d.entries[0][0], -1.0)),
+                )
+            want = estimator.exact_sqnorm(d).value
+            for _ in range(3):
+                assert estimator.exact_sqnorm(self.permuted(d, rng)).value == want
+
+    def test_two_words_bit_equal_under_permutation(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_TILE_ENTRIES", 256)
+        kernel = TestGramKernel()
+        for seed in range(10):
+            rng = np.random.default_rng(100 + seed)
+            d = kernel.decomposition(rng, k=40)
+            want = estimator.exact_sqnorm(d).value
+            for _ in range(3):
+                assert estimator.exact_sqnorm(self.permuted(d, rng)).value == want
+
+    @pytest.mark.parametrize("tile_entries", [1 << 18, 1 << 9])
+    def test_pauli_prob_bit_equal_under_permutation(self, tile_entries, monkeypatch):
+        monkeypatch.setattr(estimator, "_TILE_ENTRIES", tile_entries)
+        for seed in range(12):
+            rng = np.random.default_rng(200 + seed)
+            t = (3, 6, 8, 96)[seed % 4]
+            if t == 96:
+                d = TestGramKernel().decomposition(rng, k=30)
+            else:
+                d = magic.sample_iid(magic.magic_model(PI4, t), int(rng.integers(5, 60)), rng)
+            circuit = sb.random_clifford_word(t, 40, rng)
+            chain = [(sb.random_pauli(t, rng), int(rng.choice([1, -1]))) for _ in range(2)]
+            want = estimator.pauli_prob(d, circuit, chain)
+            for _ in range(2):
+                got = estimator.pauli_prob(self.permuted(d, rng), circuit, chain)
+                assert got.raw_value == want.raw_value
+                assert got.step_values == want.step_values

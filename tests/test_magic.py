@@ -283,3 +283,55 @@ def test_property_unit_phases(phi, t, k, seed):
     d = magic.sample_iid(m, k, np.random.default_rng(seed))
     for _, phase in d.entries:
         assert abs(abs(phase) - 1) <= 1e-12
+
+
+def reference_entries(model, seeds, shifts):
+    """Per-row reference sampler: one rng.random(t) call per seed, bits
+    set one by one, each member's phase u0^(t-w) u1^w computed on its own."""
+    entries = []
+    for draws in seeds:
+        seed = 0
+        for q in range(model.t):
+            if draws[q] < model.p1:
+                seed |= 1 << q
+        for shift in shifts:
+            bits = seed ^ shift
+            w = bin(bits).count("1")
+            entries.append((bits, model.u0 ** (model.t - w) * model.u1**w))
+    return tuple(entries)
+
+
+class TestSamplingStream:
+    """The batched samplers reproduce the per-row loop entry for entry and
+    leave the generator at the same position."""
+
+    @pytest.mark.parametrize("t", [1, 8, 32, 64, 96])
+    def test_iid_matches_per_row_loop(self, t):
+        m = magic.magic_model(PI4, t)
+        for k in (1, 7, 50):
+            got_rng, ref_rng = np.random.default_rng(t + k), np.random.default_rng(t + k)
+            d = magic.sample_iid(m, k, got_rng)
+            want = reference_entries(m, [ref_rng.random(t) for _ in range(k)], (0,))
+            assert d.entries == want
+            assert got_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("t", [8, 32, 64, 96])
+    def test_correlated_matches_per_row_loop(self, t):
+        m = magic.magic_model(PI4, t)
+        mask_set = masks.generate_masks_even(t)
+        for f_t in (0, 1, 3, len(mask_set)):
+            got_rng, ref_rng = np.random.default_rng(t * f_t), np.random.default_rng(t * f_t)
+            d = magic.sample_correlated(m, mask_set, f_t, 40, got_rng)
+            groups = math.ceil(40 / (f_t + 1))
+            shifts = (0,) + tuple(mask_set.masks[:f_t])
+            want = reference_entries(m, [ref_rng.random(t) for _ in range(groups)], shifts)
+            assert d.entries == want
+            assert d.groups == tuple((g * (f_t + 1), f_t + 1) for g in range(groups))
+            assert got_rng.random() == ref_rng.random()
+
+    def test_off_pi4_phases(self):
+        # p1 != 1/2 and u0 != u1 exercise both the threshold and the table
+        m = magic.magic_model(0.3, 12)
+        got_rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        d = magic.sample_iid(m, 30, got_rng)
+        assert d.entries == reference_entries(m, [ref_rng.random(12) for _ in range(30)], (0,))
