@@ -5,7 +5,8 @@ Every exact quantity comes from one closed-form Gram kernel over the
 sum P, by popcounts on packed bits over the upper triangle in row tiles,
 summed as real 2 x 2 products of [Re a, Im a] with terms in canonical order
 (see ``_gram``); ``exact_sqnorm`` is its P = I case.  Monte-Carlo norm
-estimation samples random stabilizer states instead.  Probability
+estimation (``fastnorm``) samples random stabilizer states instead, drawn
+directly by ``quadform`` with closed-form product-term overlaps.  Probability
 estimation conjugates each measured Pauli back through the Clifford circuit
 (Heisenberg picture), so a joint outcome probability is a telescoping
 product of ratios of such norms.  ``sqnorm_terms`` keeps the CH-form path as
@@ -23,15 +24,15 @@ import numpy as np
 from . import dense
 from .magic import MagicModel, SparseDecomposition, dense_decomposition, dense_target
 from .magic import to_states  # noqa: F401  (unused here; perfbench traces it at this name)
+from .quadform import product_overlaps, random_stabilizer_state
 from .stabilizer import (
     CliffordOp,
     PauliOperator,
     Tableau,
     _ones,
-    apply_clifford,
+    apply_clifford,  # noqa: F401  (unused here; perfbench traces it at this name)
     project_pauli,  # noqa: F401  (unused here; perfbench traces it at this name)
-    random_clifford,
-    zero_state,
+    random_clifford,  # noqa: F401  (unused here; perfbench traces it at this name)
 )
 
 EXACT = "EXACT"
@@ -157,9 +158,9 @@ def sqnorm_terms(terms: Sequence) -> float:
 def fastnorm(decomp: SparseDecomposition, m_samples: int, rng) -> NormEstimate:
     """Monte-Carlo squared norm: (2^t / M) sum_j |<theta_j|psi>|^2.
 
-    theta_j are uniformly random stabilizer states (random Clifford on
-    |0..0>); uniformity makes E|<theta|psi>|^2 = <psi|psi>/2^t, so the
-    estimator is unbiased.
+    theta_j are uniformly random stabilizer states, drawn directly as an
+    affine support with quadratic-form phases; uniformity makes
+    E|<theta|psi>|^2 = <psi|psi>/2^t, so the estimator is unbiased.
     """
     return NormEstimate(
         value=_sampled_sqnorm(decomp, {(0, 0): 1.0}, m_samples, rng),
@@ -168,42 +169,39 @@ def fastnorm(decomp: SparseDecomposition, m_samples: int, rng) -> NormEstimate:
     )
 
 
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
 def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int, rng) -> float:
-    """(2^t / M) sum_j |<theta_j| O |psi>|^2 for O = sum c X^x Z^z, {(x, z): c}."""
+    """(2^t / M) sum_j |<theta_j| O |psi>|^2 for O = sum c X^x Z^z, {(x, z): c}.
+
+    Each sample is one ``random_stabilizer_state`` draw on either branch, so
+    a seed gives the same theta_j at any t.  Up to the dense cap,
+    <theta|O psi> is one gather of the precomputed dense O|psi> over
+    theta's support; above it, each term's <theta| X^x Z^z |phi_b> comes
+    from ``product_overlaps`` as conj(<phi_b| Z^z X^x |theta>).
+    """
     if m_samples < 1:
         raise ValueError("sample count must be at least 1")
     t = decomp.t
     total = 0.0
     if t <= dense.VECTOR_CAP:
-        # <theta|O psi> is linear in the decomposition, so at desk scale
-        # each draw is one dot against the precomputed dense vector; the
-        # random stream (Clifford draws only) matches the generic path
         psi = dense_decomposition(decomp)
         vec = sum(
             c * (-1j) ** (x & z).bit_count() * dense.pauli_apply(psi, PauliOperator(t, x, z), t)
             for (x, z), c in pauli_sum.items()
         )
         for _ in range(m_samples):
-            op = random_clifford(t, rng)
-            theta = dense.apply_clifford_dense(dense.zero_vector(t), op)
-            total += abs(np.vdot(theta, vec)) ** 2
+            points, e = random_stabilizer_state(t, rng).support()
+            total += abs(np.vdot(_I_POWERS[e], vec[points])) ** 2 / len(points)
     else:
+        labels, phases = [b for b, _ in decomp.entries], decomp.phases()
         for _ in range(m_samples):
-            theta = apply_clifford(zero_state(t), random_clifford(t, rng))
-            amp = 0.0 + 0.0j
-            for (x, z), c in pauli_sum.items():
-                # <theta| X^x Z^z |product(b)> = conj(<0| H^b Z^z X^x |theta>):
-                # a few one-qubit gates instead of a general inner product
-                shifted = theta.copy()
-                for q in _ones(x):
-                    shifted._apply_x(q)
-                for q in _ones(z):
-                    shifted._apply_z(q)
-                for bits, phase in decomp.entries:
-                    ket = shifted.copy()
-                    for q in _ones(bits):
-                        ket._apply_h(q)
-                    amp += c * phase * np.conjugate(ket.amplitude(0))
+            theta = random_stabilizer_state(t, rng)
+            amp = sum(
+                c * np.vdot(product_overlaps(theta, labels, x, z), phases)
+                for (x, z), c in pauli_sum.items()
+            )
             total += abs(decomp.prefactor * amp) ** 2
     return float(2.0**t * total / m_samples)
 

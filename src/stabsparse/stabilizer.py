@@ -705,11 +705,12 @@ def _add_row(echelon: dict, row: int, width: int) -> None:
 
 def _draw_solution(echelon: dict, width: int, rng) -> int:
     """Uniform solution of a reduced echelon system: one rng bit per free
-    column in ascending order, then each pivot bit from its row."""
+    column in ascending order (one batched draw), then each pivot bit from
+    its row."""
+    cols = [c for c in range(width) if c not in echelon]
     free = 0
-    for c in range(width):
-        if c not in echelon and rng.integers(2):
-            free |= 1 << c
+    for c, bit in zip(cols, rng.integers(2, size=len(cols)).tolist()):
+        free |= bit << c
     x = free
     for col, r in echelon.items():
         if ((r & free).bit_count() + (r >> width)) & 1:
@@ -756,9 +757,9 @@ def random_clifford_tableau(t: int, rng) -> Tableau:
     tab = Tableau(t)
     cols = _transpose(xs + zs, 2 * t)
     tab.x, tab.z = cols[:t], cols[t:]
+    signs = rng.integers(2, size=2 * t).tolist()  # row i's sign, then row t + i's
     for i in range(t):
-        tab.sign |= int(rng.integers(2)) << i
-        tab.sign |= int(rng.integers(2)) << (t + i)
+        tab.sign |= signs[2 * i] << i | signs[2 * i + 1] << (t + i)
     return tab
 
 

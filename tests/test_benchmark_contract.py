@@ -3,6 +3,8 @@
 ``perfbench/workloads.py`` reads ``entries``, ``phases()``, the samplers
 and the estimators; a change under ``src/`` that breaks that use fails
 here.  Each workload goes through setup, inputs, op and check for two ops.
+``perfbench/tracing.py`` wraps functions at the names their callers look
+up, so every one of those names must still resolve.
 """
 
 import importlib.util
@@ -16,6 +18,11 @@ _spec = importlib.util.spec_from_file_location(
 )
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+)
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -28,3 +35,9 @@ def test_tiny_workload_ops_pass_their_checks(name):
         assert w.check(inp, out) is None
         assert isinstance(w.canon(out), str)
     assert w.finish() is None
+
+
+@pytest.mark.parametrize("entry", tracing.TRACED, ids=lambda e: e[2])
+def test_traced_names_resolve(entry):
+    owner, attr = entry[:2]
+    assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} is gone"

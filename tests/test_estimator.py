@@ -441,8 +441,9 @@ class TestHeisenbergPauliProb:
             estimator.pauli_prob(d, circuit, chain, **kwargs)
 
     def test_fastnorm_branches_agree_draw_for_draw(self, monkeypatch):
-        # both branches consume the rng only through random_clifford, so the
-        # same seed gives the same theta draws on the CH and the dense branch
+        # both branches consume the rng only through random_stabilizer_state,
+        # so the same seed gives the same theta draws on the closed-form and
+        # the dense branch
         rng = np.random.default_rng(45)
         m = magic.magic_model(PI4, 4)
         d = magic.sample_iid(m, 5, rng)

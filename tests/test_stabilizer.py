@@ -302,8 +302,9 @@ class TestPackedTableau:
         )
 
     def test_fastnorm_ch_values_pinned(self):
-        # t = 13 and 16 are above the dense cap, so every draw runs the CH
-        # form; the digest was recorded on the numpy-bool CH form
+        # t = 13 and 16 are above the dense cap, so every draw runs the
+        # closed-form overlaps; the digest was recorded when fastnorm moved
+        # from random Clifford words on the CH form to random_stabilizer_state
         h = hashlib.sha256()
         for t, seed in ((13, 0), (13, 1), (16, 2), (16, 3)):
             model = magic.magic_model(math.pi / 4, t)
@@ -311,7 +312,7 @@ class TestPackedTableau:
             value = estimator.fastnorm(d, 8, np.random.default_rng(100 + seed)).value
             h.update(repr(value).encode())
         assert h.hexdigest() == (
-            "ca127940a6b54c1115652d66210863b2d54b44b07865f53b2014cf4ff79e0196"
+            "d3c09ccb5b9d80e18bdd83d77d46b6fbeaae4cbf8b97237f5baa8fadb0f6efb6"
         )
 
 
