@@ -1,16 +1,19 @@
 """Norms, approximation-error diagnostics and Pauli-outcome estimation.
 
 Every exact quantity comes from one closed-form Gram kernel over the
-|0>/|+> product terms, sum_ij conj(a_i) a_j <phi_i| P |phi_j> for a Pauli
-sum P, by popcounts on packed bits over the upper triangle in row tiles,
-summed as real 2 x 2 products of [Re a, Im a] with terms in canonical order
-(see ``_gram``); ``exact_sqnorm`` is its P = I case.  Monte-Carlo norm
-estimation (``fastnorm``) samples random stabilizer states instead, drawn
-directly by ``quadform`` with closed-form product-term overlaps.  Probability
-estimation conjugates each measured Pauli back through the Clifford circuit
-(Heisenberg picture), so a joint outcome probability is a telescoping
-product of ratios of such norms.  ``sqnorm_terms`` keeps the CH-form path as
-the test reference.
+|0>/|+> product terms, the values sum_ij conj(a_i) a_j <phi_i| P |phi_j>
+for a list of Paulis P, by popcounts on packed bits over the upper
+triangle in row tiles, summed as real 2 x 2 products of [Re a, Im a] with
+terms in canonical order (see ``_gram``); ``exact_sqnorm`` is its P = I
+case.  Monte-Carlo norm estimation (``fastnorm``) samples random
+stabilizer states instead, drawn directly by ``quadform`` with closed-form
+product-term overlaps.  Probability estimation works in the Heisenberg
+picture: one Pauli frame pushes the measured Paulis back through the
+Clifford circuit (``CliffordOp.conjugate_paulis``), and a joint outcome
+probability is a telescoping product of ratios of norms under the
+projected Pauli sums; an exact chain takes the values of all its Paulis
+from one Gram call.  ``sqnorm_terms`` keeps the CH-form path as the test
+reference.
 """
 
 from __future__ import annotations
@@ -28,8 +31,6 @@ from .quadform import product_overlaps, random_stabilizer_state
 from .stabilizer import (
     CliffordOp,
     PauliOperator,
-    Tableau,
-    _ones,
     apply_clifford,  # noqa: F401  (unused here; perfbench traces it at this name)
     project_pauli,  # noqa: F401  (unused here; perfbench traces it at this name)
     random_clifford,  # noqa: F401  (unused here; perfbench traces it at this name)
@@ -88,13 +89,13 @@ def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
     return bits, ri * r[:, None]
 
 
-def _gram(bits: np.ndarray, ri: np.ndarray, pauli_sum: dict) -> complex:
-    """sum_P c_P sum_ij conj(a_i) a_j <phi_i| P |phi_j> over |0>/|+> products.
+def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
+    """[sum_ij conj(a_i) a_j <phi_i| X^x Z^z |phi_j> for (x, z) in keys].
 
-    ``bits`` holds the labels as uint64 words (a set bit is |+>), ``ri`` the
-    amplitudes as rows r_b [Re a, Im a] from ``_terms``, ``pauli_sum``
-    {(x, z): c} for sum c X^x Z^z.  An entry of G_P is 0 if a qubit has
-    x & ~a & ~b or z & a & b, else 2^(-|a ^ b|/2) (-1)^|x & z & b| (live
+    ``bits`` holds the |0>/|+> product labels as uint64 words (a set bit is
+    |+>), ``ri`` the amplitudes as rows r_b [Re a, Im a] from ``_terms``.
+    An entry of G_P is 0 if a qubit has x & ~a & ~b or z & a & b, else
+    2^(-|a ^ b|/2) (-1)^|x & z & b| (live
     x & z qubits have one of a, b set).  With r_b = 2^((h - |b|)/2) in the
     amplitudes, the overlap is an exact 2^(|a & b| - h) (h = 32 per word
     keeps both in range): one tile per row tile serves all Paulis, each
@@ -106,7 +107,7 @@ def _gram(bits: np.ndarray, ri: np.ndarray, pauli_sum: dict) -> complex:
     k, width = bits.shape
     if width > 16:
         raise ValueError("the Gram kernel's power-of-two scaling covers t <= 1024")
-    h, keys = 32 * width, list(pauli_sum)
+    h, keys = 32 * width, list(keys)
     words = _words([x for x, _ in keys] + [z for _, z in keys], 64 * width)
     xw, zw = words.reshape(2, len(keys), 1, 1, width)
     sri = ri[None]  # (Paulis, k, 2) with each Pauli's column signs
@@ -126,19 +127,19 @@ def _gram(bits: np.ndarray, ri: np.ndarray, pauli_sum: dict) -> complex:
         m[0] += ri[lo:hi].T @ (g[..., :hi - lo] @ sri[:, lo:hi])
         if hi < k:
             m[1] += ri[lo:hi].T @ (g[..., hi - lo:] @ sri[:, hi:])
-    total = 0j
+    out = []
     for (x, z), (d0, d1), (o0, o1) in zip(keys, m[0].tolist(), m[1].tolist()):
         off = complex(o0[0] + o1[1], o0[1] - o1[0])
         off += (-1) ** (x & z).bit_count() * off.conjugate()
-        total += pauli_sum[x, z] * (complex(d0[0] + d1[1], d0[1] - d1[0]) + off)
-    return total
+        out.append(complex(d0[0] + d1[1], d0[1] - d1[0]) + off)
+    return out
 
 
 def exact_sqnorm(decomp: SparseDecomposition) -> NormEstimate:
     """Exact <psi|psi> of a product-term decomposition in O(k^2)."""
     bits, ri = _terms(decomp)
-    total = _gram(bits, ri, {(0, 0): 1}).real
-    value = float(decomp.prefactor**2 * total)
+    (total,) = _gram(bits, ri, [(0, 0)])
+    value = float(decomp.prefactor**2 * total.real)
     return NormEstimate(value=max(value, 0.0), method=EXACT)
 
 
@@ -256,16 +257,6 @@ def _product(left: dict, right: dict) -> dict:
     return {key: c for key, c in out.items() if c != 0}
 
 
-def _conjugate(tab: Tableau, p: PauliOperator) -> dict:
-    """U^dag P U as a Pauli sum, multiplying the rows U^dag X_q U and
-    U^dag Z_q U of the tableau of U^dag as P = phase i^e X^x Z^z dictates."""
-    out = {(0, 0): p.phase * 1j ** p.xz_phase_power()}
-    for row in _ones(p.x_bits) + [p.n + q for q in _ones(p.z_bits)]:
-        r = tab.row_pauli(row)
-        out = _product(out, {(r.x_bits, r.z_bits): r.phase * 1j ** r.xz_phase_power()})
-    return out
-
-
 def pauli_prob(
     decomp: SparseDecomposition,
     circuit: Optional[CliffordOp],
@@ -299,26 +290,31 @@ def pauli_prob(
         circuit = CliffordOp(decomp.t)
     if circuit.n != decomp.t:
         raise ValueError("circuit and decomposition disagree on qubit count")
-    tab = circuit.inverse_tableau()
-    bits, ri = _terms(decomp, decomp.prefactor)
-
-    def measure_norm(op: dict, op_dag: dict) -> float:
-        if not op:
-            return 0.0
-        if method == FASTNORM:
-            return _sampled_sqnorm(decomp, op, fastnorm_samples, rng)
-        return float(_gram(bits, ri, _product(op_dag, op)).real)
-
-    # O_j and O_j^dag = Pi'_1 ... Pi'_j, grown one projector at a time
-    op = op_dag = {(0, 0): 1.0}
-    norm_prev = measure_norm(op, op_dag)
-    steps = []
-    for p, outcome in paulis:
+    # O_j = Pi'_j ... Pi'_1 and O_j^dag, grown one projector at a time
+    ops = [({(0, 0): 1.0}, {(0, 0): 1.0})]
+    for (_, outcome), image in zip(paulis, circuit.conjugate_paulis([p for p, _ in paulis])):
         proj = {(0, 0): 0.5}
-        for key, c in _conjugate(tab, p).items():
-            proj[key] = proj.get(key, 0) + 0.5 * outcome * c
-        op, op_dag = _product(proj, op), _product(op_dag, proj)
-        norm_next = measure_norm(op, op_dag)
+        key = (image.x_bits, image.z_bits)
+        proj[key] = proj.get(key, 0) + 0.5 * outcome * (image.phase * 1j ** image.xz_phase_power())
+        op, op_dag = ops[-1]
+        ops.append((_product(proj, op), _product(op_dag, proj)))
+
+    if method == EXACT:
+        # every N_j's Pauli sum first, then one Gram call over their union
+        sums = [_product(op_dag, op) for op, op_dag in ops]
+        keys = list(dict.fromkeys(key for pauli_sum in sums for key in pauli_sum))
+        values = dict(zip(keys, _gram(*_terms(decomp, decomp.prefactor), keys)))
+        norms = iter([
+            float(sum((c * values[key] for key, c in pauli_sum.items()), 0j).real)
+            for pauli_sum in sums
+        ])
+    else:  # lazily, so that sampling stops at an annihilated step
+        norms = (_sampled_sqnorm(decomp, op, fastnorm_samples, rng) if op else 0.0
+                 for op, _ in ops)
+
+    norm_prev = next(norms)
+    steps = []
+    for norm_next in norms:
         if norm_prev <= 0.0 or norm_next <= 1e-14 * norm_prev:
             steps += [0.0] * (len(paulis) - len(steps))
             break

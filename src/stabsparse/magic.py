@@ -30,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .dense import product_vector
 from .masks import MaskSet, popcount
 from .stabilizer import StabilizerState, product_state_from_bits
 
@@ -300,10 +299,14 @@ def to_states(decomp: SparseDecomposition) -> list:
 
 
 def dense_decomposition(decomp: SparseDecomposition) -> np.ndarray:
-    """Dense vector of the sparsified state (t <= 14)."""
+    """Dense vector of the sparsified state (t <= 14): term b adds 2^(-|b|/2) phase_b
+    to every x inside b, a superset sum done as t passes v[x] += v[x | 1 << q]."""
     if decomp.t > 14:
         raise ValueError("dense expansion limited to t <= 14")
-    acc = np.zeros(1 << decomp.t, dtype=np.complex128)
-    for bits, phase in decomp.entries:
-        acc += phase * product_vector([(bits >> q) & 1 for q in range(decomp.t)])
-    return decomp.prefactor * acc
+    labels = np.array([bits for bits, _ in decomp.entries], dtype=np.int64)
+    vec = np.zeros(1 << decomp.t, dtype=np.complex128)
+    np.add.at(vec, labels, decomp.phases() * np.exp2(-0.5 * np.bitwise_count(labels)))
+    for q in range(decomp.t):
+        view = vec.reshape(-1, 2, 1 << q)  # axis 1 is bit q
+        view[:, 0] += view[:, 1]
+    return decomp.prefactor * vec

@@ -21,7 +21,7 @@ Conventions: qubit q corresponds to bit q of an integer basis label
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -124,61 +124,71 @@ class PauliOperator:
 
 
 class Tableau:
-    """Images of X_q and Z_q under conjugation by a Clifford word.
+    """A Pauli frame: Hermitian Pauli rows conjugated by a Clifford word.
 
-    Rows 0..n-1 hold the X images, rows n..2n-1 the Z images.  The bits
-    are packed by column: bit r of ``x[q]`` (of ``z[q]``) is the x (z) bit
-    of qubit q in row r, and bit r of ``sign`` is row r's sign, so a gate
-    update is a few whole-column integer operations.  Used for validity
-    checks, canonical keys, gate-word synthesis and Heisenberg-picture
-    conjugation; the CH form is used for states.
+    Bits are packed by column: bit r of ``x[q]`` (of ``z[q]``) is the x (z)
+    bit of qubit q in row r and bit r of ``sign`` is row r's sign, so a gate
+    update is a few whole-column integer operations.  ``rows`` may be any
+    Hermitian Paulis; the default identity frame (X_q in row q, Z_q in row
+    n + q) becomes a word's tableau.  Used for validity checks, canonical keys,
+    gate-word synthesis and Heisenberg-picture conjugation.
     """
 
     __slots__ = ("n", "x", "z", "sign")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, rows: Optional[Sequence[PauliOperator]] = None):
         self.n = n
-        self.x = [1 << q for q in range(n)]
-        self.z = [1 << (n + q) for q in range(n)]
-        self.sign = 0
+        if rows is None:  # the identity frame
+            self.x = [1 << q for q in range(n)]
+            self.z = [1 << (n + q) for q in range(n)]
+            self.sign = 0
+        else:
+            if any(not p.is_hermitian or p.n != n for p in rows):
+                raise ValueError("frame rows must be Hermitian Paulis on n qubits")
+            self.x = _transpose([p.x_bits for p in rows], n)
+            self.z = _transpose([p.z_bits for p in rows], n)
+            self.sign = sum(1 << r for r, p in enumerate(rows) if p.phase == -1)
 
     def copy(self) -> "Tableau":
         t = Tableau.__new__(Tableau)
         t.n, t.x, t.z, t.sign = self.n, list(self.x), list(self.z), self.sign
         return t
 
-    def apply_gate(self, name: str, qubits: Sequence[int]) -> None:
-        x, z = self.x, self.z
-        if name == "H":
-            (q,) = qubits
-            self.sign ^= x[q] & z[q]
-            x[q], z[q] = z[q], x[q]
-        elif name == "S":
-            (q,) = qubits
-            self.sign ^= x[q] & z[q]
-            z[q] ^= x[q]
-        elif name == "Sdg":
-            (q,) = qubits
-            z[q] ^= x[q]
-            self.sign ^= x[q] & z[q]
-        elif name == "X":
-            (q,) = qubits
-            self.sign ^= z[q]
-        elif name == "Z":
-            (q,) = qubits
-            self.sign ^= x[q]
-        elif name == "CX":
-            c, t = qubits
-            self.sign ^= x[c] & z[t] & ~(x[t] ^ z[c])
-            x[t] ^= x[c]
-            z[c] ^= z[t]
-        elif name == "CZ":
-            c, t = qubits
-            self.sign ^= x[c] & x[t] & (z[c] ^ z[t])
-            z[c] ^= x[t]
-            z[t] ^= x[c]
-        else:
-            raise ValueError(f"unknown gate {name!r}")
+    def apply_word(self, word: Sequence, inverse: bool = False) -> None:
+        """Map every row P to W P W^dag for the word's unitary W, gate by
+        gate; with ``inverse`` (reversed, S and Sdg swapped), to W^dag P W."""
+        x, z, sign = self.x, self.z, self.sign
+        s_gate, sdg_gate = ("Sdg", "S") if inverse else ("S", "Sdg")
+        for name, qubits in reversed(word) if inverse else word:
+            if name == "CX":
+                c, t = qubits
+                sign ^= x[c] & z[t] & ~(x[t] ^ z[c])
+                x[t] ^= x[c]
+                z[c] ^= z[t]
+            elif name == "CZ":
+                c, t = qubits
+                sign ^= x[c] & x[t] & (z[c] ^ z[t])
+                z[c] ^= x[t]
+                z[t] ^= x[c]
+            elif name == "H":
+                (q,) = qubits
+                sign ^= x[q] & z[q]
+                x[q], z[q] = z[q], x[q]
+            elif name == s_gate:
+                (q,) = qubits
+                sign ^= x[q] & z[q]
+                z[q] ^= x[q]
+            elif name == sdg_gate:
+                (q,) = qubits
+                z[q] ^= x[q]
+                sign ^= x[q] & z[q]
+            elif name == "X":
+                sign ^= z[qubits[0]]
+            elif name == "Z":
+                sign ^= x[qubits[0]]
+            else:
+                raise ValueError(f"unknown gate {name!r}")
+        self.sign = sign
 
     def row_pauli(self, row: int) -> PauliOperator:
         x = sum(((col >> row) & 1) << q for q, col in enumerate(self.x))
@@ -224,24 +234,26 @@ class CliffordOp:
                     raise ValueError(f"{name} takes two distinct qubits")
             else:
                 raise ValueError(f"unknown gate {name!r}")
-            if any(q < 0 or q >= self.n for q in qubits):
-                raise ValueError("gate qubit out of range")
+            if any(isinstance(q, bool) or not isinstance(q, (int, np.integer))
+                   or not 0 <= q < self.n for q in qubits):
+                raise ValueError(f"gate qubits {list(qubits)} must be integers in [0, {self.n})")
 
     def __len__(self) -> int:
         return len(self.word)
 
     def tableau(self) -> Tableau:
         t = Tableau(self.n)
-        for name, qubits in self.word:
-            t.apply_gate(name, qubits)
+        t.apply_word(self.word)
         return t
 
-    def inverse_tableau(self) -> Tableau:
-        """Tableau of the inverse word, without building its CliffordOp."""
-        t = Tableau(self.n)
-        for name, qubits in reversed(self.word):
-            t.apply_gate(_DAGGERS.get(name, name), qubits)
-        return t
+    def conjugate_paulis(self, paulis: Sequence[PauliOperator]) -> list:
+        """[U^dag P U for P in paulis]: one frame with the Paulis as rows runs
+        through the inverse word, and a +-i phase rides along as a scalar."""
+        scalars = [1 if p.is_hermitian else 1j for p in paulis]
+        frame = Tableau(self.n, [replace(p, phase=p.phase / s) for p, s in zip(paulis, scalars)])
+        frame.apply_word(self.word, inverse=True)
+        images = [frame.row_pauli(r) for r in range(len(paulis))]
+        return [replace(im, phase=im.phase * s) for im, s in zip(images, scalars)]
 
     def is_valid(self) -> bool:
         return self.tableau().is_symplectic()
@@ -770,7 +782,7 @@ def synthesize_word(tab: Tableau) -> tuple:
     inverse_ops = []
 
     def emit(name, *qubits):
-        work.apply_gate(name, qubits)
+        work.apply_word(((name, qubits),))
         inverse_ops.append((name, qubits))
 
     def xb(row, q):

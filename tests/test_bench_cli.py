@@ -346,3 +346,21 @@ class TestCliCommands:
                          str(circuit_path), "--paulis", "ZZ,+"]) == 3
         err = capsys.readouterr().err
         assert "qubits" in err and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("record", [
+        {"gate": "H", "qubits": [0.0]},
+        {"gate": "CX", "qubits": [0, 1.5]},
+        {"gate": "H", "qubits": "0"},
+        {"gate": "H", "qubits": [True]},
+    ], ids=["float", "float-second", "string", "bool"])
+    def test_estimate_circuit_malformed_qubits_exit_3(self, record, tmp_path, capsys):
+        decomp_path = tmp_path / "d.json"
+        cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",
+                  "--out", str(decomp_path)])
+        circuit_path = tmp_path / "c.json"
+        circuit_path.write_text(json.dumps([record]))
+        capsys.readouterr()
+        assert cli.main(["estimate", "--decomp", str(decomp_path), "--circuit",
+                         str(circuit_path), "--paulis", "ZZ,+"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "must be integers" in err[0]

@@ -357,11 +357,15 @@ def dense_chain_steps(decomp, circuit, chain):
     return steps + [0.0] * (len(chain) - len(steps))
 
 
-def xz_matrix(t, x, z):
-    """Dense X^x Z^z."""
-    return dense.pauli_matrix(sb.PauliOperator(t, x, 0)) @ dense.pauli_matrix(
-        sb.PauliOperator(t, 0, z)
-    )
+def row_product_conjugate(tab, p):
+    """U^dag P U as a Pauli sum {(x, z): c}, multiplying the rows U^dag X_q U
+    and U^dag Z_q U of ``tab``, the tableau of U^dag, as P = phase i^e X^x Z^z
+    dictates: the reference for ``CliffordOp.conjugate_paulis``."""
+    out = {(0, 0): p.phase * 1j ** p.xz_phase_power()}
+    for row in sb._ones(p.x_bits) + [p.n + q for q in sb._ones(p.z_bits)]:
+        r = tab.row_pauli(row)
+        out = estimator._product(out, {(r.x_bits, r.z_bits): r.phase * 1j ** r.xz_phase_power()})
+    return out
 
 
 class TestHeisenbergPauliProb:
@@ -405,24 +409,25 @@ class TestHeisenbergPauliProb:
             for _ in range(10):
                 op = sb.random_clifford_word(t, 40, rng)
                 p = sb.random_pauli(t, rng, hermitian=False)
-                image = estimator._conjugate(op.inverse().tableau(), p)
+                (image,) = op.conjugate_paulis([p])
                 u = dense.clifford_unitary(op)
                 want = u.conj().T @ dense.pauli_matrix(p) @ u
-                got = sum(c * xz_matrix(t, x, z) for (x, z), c in image.items())
-                assert len(image) == 1
-                assert np.abs(got - want).max() < 1e-12
+                assert np.abs(dense.pauli_matrix(image) - want).max() < 1e-12
 
-    def test_conjugates_through_the_inverse_tableau(self, monkeypatch):
-        rng = np.random.default_rng(127)
-        circuit = sb.random_clifford_word(5, 300, rng)
-        d = magic.sample_iid(magic.magic_model(PI4, 5), 4, rng)
-        seen = []
-        conjugate = estimator._conjugate
-        monkeypatch.setattr(
-            estimator, "_conjugate", lambda tab, p: seen.append(tab) or conjugate(tab, p)
-        )
-        estimator.pauli_prob(d, circuit, [(sb.random_pauli(5, rng), 1)])
-        assert seen and all(t.key() == circuit.inverse().tableau().key() for t in seen)
+    @pytest.mark.parametrize("t, gates", [(t, 1000) for t in range(1, 9)] + [(70, 2000)])
+    def test_conjugation_matches_row_products(self, t, gates):
+        # the Heisenberg frame against products of the rows of the inverse
+        # word's tableau; n = 70 spans two 64-bit words
+        rng = np.random.default_rng(1000 + t)
+        op = sb.random_clifford_word(t, gates, rng)
+        tab = op.inverse().tableau()
+        paulis = [sb.random_pauli(t, rng, hermitian=bool(i % 2)) for i in range(12)]
+        paulis += [sb.PauliOperator(t, 0, 0, 1j), sb.PauliOperator(t, 0, 0, -1)]
+        images = op.conjugate_paulis(paulis)
+        assert len(images) == len(paulis)
+        for p, image in zip(paulis, images):
+            got = {(image.x_bits, image.z_bits): image.phase * 1j ** image.xz_phase_power()}
+            assert got == row_product_conjugate(tab, p)
 
     @pytest.mark.parametrize(
         "circuit, chain, kwargs",
@@ -524,7 +529,7 @@ class TestGramKernel:
             # keep that pair's entry alive; x & z gives Y factors
             x = (bits[i] | bits[i + 1]) & int.from_bytes(rng.bytes(12), "little")
             z = ~(bits[i] & bits[i + 1]) & full & int.from_bytes(rng.bytes(12), "little")
-            got = estimator._gram(*estimator._terms(d), {(x, z): 1})
+            (got,) = estimator._gram(*estimator._terms(d), [(x, z)])
             want = self.brute(bits, d.phases(), x, z)
             assert abs(want) > 1e-6
             assert abs(got - want) <= 1e-12 * abs(want)
@@ -545,14 +550,15 @@ class TestGramKernel:
                 continue
             checked += 1
             want = self.brute(bits, d.phases(), x, z)
-            got = estimator._gram(*estimator._terms(d), {(x, z): 1})
+            (got,) = estimator._gram(*estimator._terms(d), [(x, z)])
             assert abs(want) > 1e-6
             assert abs(got - want) <= 1e-12 * abs(want)
-            # the whole sum in one call equals the sum of single-Pauli calls
-            pair = {(x, z): 0.5 - 0.25j, (x ^ bits[i], z): 2.0}
-            want_pair = sum(c * self.brute(bits, d.phases(), *key) for key, c in pair.items())
+            # one call over several Paulis gives each one's single-Pauli value
+            pair = [(x, z), (x ^ bits[i], z)]
             got_pair = estimator._gram(*estimator._terms(d), pair)
-            assert abs(got_pair - want_pair) <= 1e-12 * abs(want_pair)
+            for key, value in zip(pair, got_pair):
+                want_one = self.brute(bits, d.phases(), *key)
+                assert abs(value - want_one) <= 1e-12 * max(abs(want_one), abs(want))
         assert checked >= 5
 
     def test_wider_than_1024_bits_rejected(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stabsparse import magic, masks
+from stabsparse import dense, magic, masks
 
 PI4 = math.pi / 4
 XI1 = 4 - 2 * math.sqrt(2)
@@ -255,6 +255,26 @@ class TestToStates:
         m = magic.magic_model(PI4, 3)
         d = magic.sample_iid(m, 11, np.random.default_rng(13))
         assert len(magic.to_states(d)) == 11
+
+
+class TestDenseDecomposition:
+    @pytest.mark.parametrize("t", range(1, 13))
+    def test_matches_kron_sum(self, t):
+        # the superset-sum transform against one np.kron chain per term;
+        # k > 2^t forces repeated labels up to t = 8
+        rng = np.random.default_rng(300 + t)
+        d = magic.sample_iid(magic.magic_model(math.pi / 5, t), min((1 << t) + 5, 400), rng)
+        want = sum(
+            phase * dense.product_vector([(bits >> q) & 1 for q in range(t)])
+            for bits, phase in d.entries
+        )
+        assert np.abs(magic.dense_decomposition(d) - d.prefactor * want).max() <= 1e-12
+
+    def test_rejects_t_above_cap(self):
+        d = magic.SparseDecomposition(t=15, k=1, prefactor=1.0, entries=((0, 1.0),),
+                                      mode=magic.IID)
+        with pytest.raises(ValueError):
+            magic.dense_decomposition(d)
 
 
 class TestSerialization:
