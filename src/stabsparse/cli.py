@@ -132,8 +132,6 @@ def cmd_estimate(args) -> int:
         method=estimator.FASTNORM if args.method == "fastnorm" else estimator.EXACT,
         fastnorm_samples=args.fastnorm_samples,
         rng=rng,
-        decomposition_id=args.decomp,
-        circuit_id=args.circuit,
     )
     payload = {
         "probability": est.value,

@@ -154,20 +154,18 @@ class RegimePoint:
     cheapest: str
 
 
-def chi_t(t: int, chi_exponent: float = CHI_EXPONENT_DEFAULT, table: Optional[dict] = None) -> float:
-    """Stabilizer-rank model 2^(exponent * t), with optional per-t overrides."""
+def chi_t(t: int, table: Optional[dict] = None) -> float:
+    """Stabilizer-rank model 2^(0.396 t), with optional per-t overrides."""
     if table and t in table:
         return float(table[t])
-    return 2.0 ** (chi_exponent * t)
+    return 2.0 ** (CHI_EXPONENT_DEFAULT * t)
 
 
 def regime(
     t: int,
     delta: float,
     xi_1: float,
-    chi_exponent: float = CHI_EXPONENT_DEFAULT,
     chi_table: Optional[dict] = None,
-    constant: float = ASYMPTOTE_ROUNDED,
 ) -> RegimePoint:
     """Evaluate the weak/strong/exact comparison at one (t, delta) cell."""
     if t < 1:
@@ -175,8 +173,8 @@ def regime(
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     xi = xi_1**t
-    chi = chi_t(t, chi_exponent, chi_table)
-    a = constant
+    chi = chi_t(t, chi_table)
+    a = ASYMPTOTE_ROUNDED
     flags = RegimeFlags(
         strong_fewer_states=chi < a * xi / delta,
         exact_fewer_states=chi**2 < a * xi / delta**3,
@@ -192,43 +190,35 @@ def regime(
     return RegimePoint(t=t, delta=delta, xi_t=xi, chi_t=chi, flags=flags, cheapest=cheapest)
 
 
-def exact_vs_strong_crossover(
-    xi_1: float,
-    chi_exponent: float = CHI_EXPONENT_DEFAULT,
-    constant: float = ASYMPTOTE_ROUNDED,
-    t_max: int = 400,
-) -> int:
+def exact_vs_strong_crossover(xi_1: float) -> int:
     """Largest t at which exact simulation overtakes weak before strong does.
 
     Compares the delta thresholds of the state-count inequalities: exact
     beats weak below delta_e = (a xi / chi^2)^(1/3) and strong beats weak
     below delta_s = a xi / chi; the ordering delta_e > delta_s holds iff
-    chi > (a xi)^2, which fails beyond the returned t.
+    chi > (a xi)^2, which fails beyond the returned t (scanned to t = 400).
     """
+    a = ASYMPTOTE_ROUNDED
     last = 0
-    for t in range(1, t_max + 1):
+    for t in range(1, 401):
         xi = xi_1**t
-        chi = 2.0 ** (chi_exponent * t)
-        d_strong = constant * xi / chi
-        d_exact = (constant * xi / chi**2) ** (1.0 / 3.0)
+        chi = chi_t(t)
+        d_strong = a * xi / chi
+        d_exact = (a * xi / chi**2) ** (1.0 / 3.0)
         if d_exact > d_strong:
             last = t
     return last
 
 
-def outcome_crossover(
-    xi_1: float,
-    chi_exponent: float = CHI_EXPONENT_DEFAULT,
-    constant: float = ASYMPTOTE_ROUNDED,
-    t_max: int = 400,
-) -> int:
+def outcome_crossover(xi_1: float) -> int:
     """Same ordering scan for the outcome-estimation inequality pair."""
+    a = ASYMPTOTE_ROUNDED
     last = 0
-    for t in range(1, t_max + 1):
+    for t in range(1, 401):
         xi = xi_1**t
-        chi = 2.0 ** (chi_exponent * t)
-        d_strong = constant * SOTA_PREFACTOR * xi / chi
-        d_exact = ((12.0 * constant / SOTA_PREFACTOR) * xi / chi**2) ** (1.0 / 3.0)
+        chi = chi_t(t)
+        d_strong = a * SOTA_PREFACTOR * xi / chi
+        d_exact = ((12.0 * a / SOTA_PREFACTOR) * xi / chi**2) ** (1.0 / 3.0)
         if d_exact > d_strong:
             last = t
     return last
@@ -251,7 +241,6 @@ class CostPoint:
     f_t: int
     beta: float
     cheapest_regime: str
-    asymptote_constant: float = ASYMPTOTE_EXACT
 
     def ratio_vs_sota(self) -> float:
         return self.k_sota / self.k_correlated
@@ -271,12 +260,11 @@ def cost_point(
     delta: float,
     xi_1: float,
     gamma: Optional[float] = None,
-    chi_exponent: float = CHI_EXPONENT_DEFAULT,
     chi_table: Optional[dict] = None,
 ) -> CostPoint:
     xi = xi_1**t
     f_t = f_t_optimal(delta, xi)
-    reg = regime(t, delta, xi_1, chi_exponent, chi_table)
+    reg = regime(t, delta, xi_1, chi_table)
     k_th1 = None
     if gamma is not None and gamma < xi:
         k_th1 = k_theorem1(xi, delta, gamma)

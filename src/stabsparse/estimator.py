@@ -11,16 +11,20 @@ product-term overlaps.  Probability estimation works in the Heisenberg
 picture: one Pauli frame pushes the measured Paulis back through the
 Clifford circuit (``CliffordOp.conjugate_paulis``), and a joint outcome
 probability is a telescoping product of ratios of norms under the
-projected Pauli sums; an exact chain takes the values of all its Paulis
-from one Gram call.  ``sqnorm_terms`` keeps the CH-form path as the test
-reference.
+projected Pauli sums.  One chain evaluator serves estimates and truths:
+``pauli_prob`` takes the Paulis' values on psi from one Gram call (or
+samples them), ``target_prob`` takes them on the exact magic state from
+its one-qubit Bloch components, and both share the annihilation rule and
+the clamp.  ``target_overlap`` gives <Psi|psi> in O(k t), hence the
+sparsification error at any t.  ``approx_error``, the ``rho1_*``
+diagnostics and ``sqnorm_terms`` stay as dense and CH-form test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +49,6 @@ class NormEstimate:
     value: float
     method: str
     samples_used: int = 0
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if self.value < 0:
@@ -62,8 +65,6 @@ class ProbabilityEstimate:
     paulis: tuple
     norm_method: str
     clamped: bool
-    decomposition_id: Optional[str] = None
-    circuit_id: Optional[str] = None
 
 
 #: entries per row-tile Gram block: temporaries stay O(tile * k) and in cache
@@ -257,40 +258,23 @@ def _product(left: dict, right: dict) -> dict:
     return {key: c for key, c in out.items() if c != 0}
 
 
-def pauli_prob(
-    decomp: SparseDecomposition,
-    circuit: Optional[CliffordOp],
-    paulis: Sequence,
-    method: str = EXACT,
-    fastnorm_samples: int = 1000,
-    rng=None,
-    decomposition_id: Optional[str] = None,
-    circuit_id: Optional[str] = None,
-) -> ProbabilityEstimate:
-    """Joint outcome probability of a chain of Pauli measurements.
+def _chain(t: int, circuit: Optional[CliffordOp], paulis: Sequence) -> list:
+    """[(O_j, O_j^dag)] for j = 0..len(paulis) as Pauli sums {(x, z): c}.
 
     ``paulis`` is a sequence of (PauliOperator, outcome) pairs measured in
-    order after the circuit C.  With P'_j = C^dag P_j C and O_j =
-    Pi'_j ... Pi'_1, Pi'_j = (I + outcome_j P'_j)/2, a sum of at most 2^j
-    Paulis, the j-th projected norm is N_j = <psi| O_j^dag O_j |psi> (EXACT:
-    the Gram kernel) or a sample mean of 2^t |<theta| O_j |psi>|^2
-    (FASTNORM).  Step j's conditional is N_j / N_(j-1); N_j <= 1e-14
-    N_(j-1) counts as annihilation and yields probability zero.
+    order after the circuit C.  With P'_j = C^dag P_j C (one Pauli frame,
+    ``CliffordOp.conjugate_paulis``), O_j = Pi'_j ... Pi'_1 and
+    Pi'_j = (I + outcome_j P'_j)/2, a sum of at most 2^j Paulis.
     """
-    if method not in (EXACT, FASTNORM):
-        raise ValueError(f"unknown norm method {method!r}")
-    if method == FASTNORM and rng is None:
-        raise ValueError("fastnorm needs an rng")
     for p, outcome in paulis:
         if not p.is_hermitian or outcome not in (1, -1):
             raise ValueError("measurements need Hermitian Paulis and outcomes +-1")
-        if p.n != decomp.t:
-            raise ValueError("Pauli and decomposition disagree on qubit count")
+        if p.n != t:
+            raise ValueError("Pauli and state disagree on qubit count")
     if circuit is None:
-        circuit = CliffordOp(decomp.t)
-    if circuit.n != decomp.t:
-        raise ValueError("circuit and decomposition disagree on qubit count")
-    # O_j = Pi'_j ... Pi'_1 and O_j^dag, grown one projector at a time
+        circuit = CliffordOp(t)
+    if circuit.n != t:
+        raise ValueError("circuit and state disagree on qubit count")
     ops = [({(0, 0): 1.0}, {(0, 0): 1.0})]
     for (_, outcome), image in zip(paulis, circuit.conjugate_paulis([p for p, _ in paulis])):
         proj = {(0, 0): 0.5}
@@ -298,20 +282,26 @@ def pauli_prob(
         proj[key] = proj.get(key, 0) + 0.5 * outcome * (image.phase * 1j ** image.xz_phase_power())
         op, op_dag = ops[-1]
         ops.append((_product(proj, op), _product(op_dag, proj)))
+    return ops
 
-    if method == EXACT:
-        # every N_j's Pauli sum first, then one Gram call over their union
-        sums = [_product(op_dag, op) for op, op_dag in ops]
-        keys = list(dict.fromkeys(key for pauli_sum in sums for key in pauli_sum))
-        values = dict(zip(keys, _gram(*_terms(decomp, decomp.prefactor), keys)))
-        norms = iter([
-            float(sum((c * values[key] for key, c in pauli_sum.items()), 0j).real)
-            for pauli_sum in sums
-        ])
-    else:  # lazily, so that sampling stops at an annihilated step
-        norms = (_sampled_sqnorm(decomp, op, fastnorm_samples, rng) if op else 0.0
-                 for op, _ in ops)
 
+def _chain_norms(ops: list, values: Callable) -> list:
+    """Every N_j = <O_j^dag O_j> from one ``values(keys)`` call over the
+    union of the Pauli sums' keys."""
+    sums = [_product(op_dag, op) for op, op_dag in ops]
+    keys = list(dict.fromkeys(key for pauli_sum in sums for key in pauli_sum))
+    table = dict(zip(keys, values(keys)))
+    return [
+        float(sum((c * table[key] for key, c in pauli_sum.items()), 0j).real)
+        for pauli_sum in sums
+    ]
+
+
+def _chain_estimate(norms: Iterable, paulis: Sequence, method: str) -> ProbabilityEstimate:
+    """Step j's conditional is N_j / N_(j-1); N_j <= 1e-14 N_(j-1) counts as
+    annihilation, and it and every later step read zero.  ``norms`` is
+    consumed lazily, so an annihilated chain evaluates no further norm."""
+    norms = iter(norms)
     norm_prev = next(norms)
     steps = []
     for norm_next in norms:
@@ -320,7 +310,6 @@ def pauli_prob(
             break
         steps.append(norm_next / norm_prev)
         norm_prev = norm_next
-
     raw = math.prod(steps)
     value = min(1.0, max(0.0, raw))
     return ProbabilityEstimate(
@@ -330,6 +319,61 @@ def pauli_prob(
         paulis=tuple((p.to_string(), outcome) for p, outcome in paulis),
         norm_method=method,
         clamped=(value != raw),
-        decomposition_id=decomposition_id,
-        circuit_id=circuit_id,
     )
+
+
+def pauli_prob(
+    decomp: SparseDecomposition,
+    circuit: Optional[CliffordOp],
+    paulis: Sequence,
+    method: str = EXACT,
+    fastnorm_samples: int = 1000,
+    rng=None,
+) -> ProbabilityEstimate:
+    """Joint outcome probability of a chain of Pauli measurements on psi.
+
+    The j-th projected norm (see ``_chain``) is N_j = <psi| O_j^dag O_j |psi>
+    (EXACT: one Gram call over every step's Paulis) or a sample mean of
+    2^t |<theta| O_j |psi>|^2 (FASTNORM, which stops sampling at an
+    annihilated step); ``_chain_estimate`` turns the norms into steps.
+    """
+    if method not in (EXACT, FASTNORM):
+        raise ValueError(f"unknown norm method {method!r}")
+    if method == FASTNORM and rng is None:
+        raise ValueError("fastnorm needs an rng")
+    ops = _chain(decomp.t, circuit, paulis)
+    if method == EXACT:
+        norms = _chain_norms(ops, lambda keys: _gram(*_terms(decomp, decomp.prefactor), keys))
+    else:
+        norms = (_sampled_sqnorm(decomp, op, fastnorm_samples, rng) if op else 0.0
+                 for op, _ in ops)
+    return _chain_estimate(norms, paulis, method)
+
+
+def target_prob(
+    model: MagicModel, circuit: Optional[CliffordOp], paulis: Sequence
+) -> ProbabilityEstimate:
+    """``pauli_prob``'s chain on the exact, normalized magic state |Psi>, at any t.
+
+    Each Pauli's value is a product over qubits of the one-qubit Bloch
+    components <I> = 1, <X> = sin phi, <Z> = cos phi and <XZ> = -i<Y> = 0.
+    """
+    sin, cos = math.sin(model.phi), math.cos(model.phi)
+    norms = _chain_norms(_chain(model.t, circuit, paulis), lambda keys: [
+        0.0 if x & z else sin ** x.bit_count() * cos ** z.bit_count() for x, z in keys])
+    return _chain_estimate(norms, paulis, EXACT)
+
+
+def target_overlap(decomp: SparseDecomposition, model: MagicModel) -> complex:
+    """<Psi|psi> = prefactor * sum_i phase_i a^(t - |b_i|) b^|b_i| in O(k t).
+
+    a = <Psi_1|0> and b = <Psi_1|+> for the one-qubit factor Psi_1; with
+    ``exact_sqnorm`` it gives the sparsification error
+    ||psi - Psi||^2 = ||psi||^2 - 2 Re<Psi|psi> + 1.
+    """
+    if decomp.t != model.t:
+        raise ValueError("decomposition and model disagree on t")
+    v0, v1 = model.psi_1
+    a, b = v0.conjugate(), (v0 + v1).conjugate() / math.sqrt(2.0)
+    table = [a ** (model.t - w) * b**w for w in range(model.t + 1)]
+    return decomp.prefactor * sum(ph * table[bits.bit_count()] for bits, ph in decomp.entries)

@@ -26,7 +26,6 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -79,6 +78,12 @@ class MagicModel:
     def xi_1(self) -> float:
         return (self.c0_mag + self.c1_mag) ** 2
 
+    @property
+    def psi_1(self) -> tuple:
+        """One-qubit factor (<0|Psi_1>, <1|Psi_1>) = (c0 + c1/sqrt2, c1/sqrt2)."""
+        c1 = self.c1_mag * self.u1 / math.sqrt(2.0)
+        return self.c0_mag * self.u0 + c1, c1
+
 
 def magic_model(phi: float, t: int) -> MagicModel:
     if not 0.0 < phi <= math.pi / 2:
@@ -107,11 +112,7 @@ def dense_target(model: MagicModel) -> np.ndarray:
     """Dense magic-state vector sum_x c_x |x~> (t <= 14)."""
     if model.t > 14:
         raise ValueError("dense target limited to t <= 14")
-    c0 = model.c0_mag * model.u0
-    c1 = model.c1_mag * model.u1
-    per_bit = np.array(
-        [c0 + c1 / math.sqrt(2.0), c1 / math.sqrt(2.0)], dtype=np.complex128
-    )
+    per_bit = np.array(model.psi_1, dtype=np.complex128)
     vec = np.array([1.0], dtype=np.complex128)
     for _ in range(model.t):
         vec = np.kron(per_bit, vec)
@@ -129,8 +130,6 @@ class SparseDecomposition:
     mode: str
     f_t: int = 0
     groups: tuple = ()  # of (seed entry index, member index range length f_t+1)
-    mask_ref: Optional[str] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if len(self.entries) != self.k:
@@ -151,8 +150,6 @@ class SparseDecomposition:
                 for x, ph in self.entries
             ],
             "groups": [list(g) for g in self.groups],
-            "mask_ref": self.mask_ref,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -176,8 +173,6 @@ class SparseDecomposition:
                 mode=data["mode"],
                 f_t=int(data.get("f_t", 0)),
                 groups=tuple(tuple(g) for g in data.get("groups", [])),
-                mask_ref=data.get("mask_ref"),
-                seed=data.get("seed"),
             )
         except (KeyError, IndexError, TypeError) as exc:
             msg = f"malformed decomposition JSON ({type(exc).__name__}: {exc})"
@@ -205,7 +200,7 @@ def _sample_entries(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
     return tuple((b, table[b.bit_count()]) for b in (s ^ d for s in seeds for d in shifts))
 
 
-def sample_iid(model: MagicModel, k: int, rng, mode: str = IID) -> SparseDecomposition:
+def sample_iid(model: MagicModel, k: int, rng) -> SparseDecomposition:
     """k-term sparsification with bits i.i.d. Bernoulli(p1) per qubit."""
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -214,7 +209,7 @@ def sample_iid(model: MagicModel, k: int, rng, mode: str = IID) -> SparseDecompo
         k=k,
         prefactor=model.l1 / k,
         entries=_sample_entries(model, k, rng),
-        mode=mode,
+        mode=IID,
     )
 
 

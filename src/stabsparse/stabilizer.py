@@ -49,10 +49,6 @@ def bits_from_string(text: str) -> int:
     return value
 
 
-def string_from_bits(value: int, n: int) -> str:
-    return "".join("1" if (value >> q) & 1 else "0" for q in range(n))
-
-
 # ---------------------------------------------------------------------------
 # Pauli operators
 # ---------------------------------------------------------------------------
@@ -226,6 +222,8 @@ class CliffordOp:
 
     def __post_init__(self):
         for name, qubits in self.word:
+            if not isinstance(name, str):
+                raise ValueError(f"gate name {name!r} must be a string")
             if name in _ONE_QUBIT_GATES:
                 if len(qubits) != 1:
                     raise ValueError(f"{name} takes one qubit")

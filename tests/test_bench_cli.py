@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stabsparse import bench, cli, costmodel, magic, masks
+from stabsparse import bench, cli, costmodel, estimator, magic, masks
 
 
 class TestPlans:
@@ -52,10 +52,26 @@ class TestSparsifyStats:
             assert row["trials"] == 6
             assert row["mean_sqnorm"] > 0
 
-    def test_norm_only_above_dense_cap(self):
+    def test_error_filled_above_dense_cap(self):
         records = bench.run_sparsify_stats(math.pi / 4, [14], [0.6], 2, seed=4)
-        assert all(rec.metrics["err2"] is None for rec in records)
-        assert all(rec.metrics["sqnorm"] > 0 for rec in records)
+        for rec in records:
+            assert rec.metrics["sqnorm"] > 0
+            assert rec.metrics["err2"] >= 0
+            assert rec.metrics["converged"] == int(rec.metrics["err2"] <= 0.36)
+
+    def test_error_matches_dense_oracle(self):
+        records = bench.run_sparsify_stats(math.pi / 4, [4, 8], [0.3], 3, seed=9)
+        for rec in records:
+            rng = bench.trial_rng(9, records.index(rec) // 3, rec.trial)
+            model = magic.magic_model(math.pi / 4, rec.t)
+            if rec.mode == "iid":
+                decomp = magic.sample_iid(model, rec.k, rng)
+            else:
+                decomp = magic.sample_correlated(
+                    model, bench.default_masks(rec.t, 0), rec.f_t, rec.k, rng)
+            assert decomp.k == rec.k
+            err = estimator.approx_error(decomp, model)
+            assert rec.metrics["err2"] == pytest.approx(err * err, abs=1e-12)
 
     def test_iid_mean_sqnorm_envelope(self):
         # E<psi|psi> = 1 + (xi - 1)/k sits below the 1 + xi/k envelope;
@@ -80,13 +96,15 @@ class TestWorstCase:
             assert rec.metrics["p_true"] is not None
             assert rec.metrics["err_iid"] >= 0.0
 
-    def test_no_dense_truth_above_cap(self):
-        records = bench.run_worst_case([12], [0.3], 10, 1, seed=6)
-        assert records[0].metrics.get("p_true") is None
+    def test_truth_filled_above_dense_cap(self):
+        (rec,) = bench.run_worst_case([12], [0.3], 10, 1, seed=6)
+        assert 0.0 <= rec.metrics["p_true"] <= 1.0
+        for name in bench.WORST_CASE_METRICS:
+            assert rec.metrics[name] is not None
 
-    def test_desk_scale_cap(self):
-        with pytest.raises(ValueError):
-            bench.run_worst_case([24], [0.3], 10, 1, seed=6)
+    def test_runs_beyond_desk_scale(self):
+        (rec,) = bench.run_worst_case([24], [0.3], 10, 1, seed=6)
+        assert 0.0 <= rec.metrics["p_true"] <= 1.0
 
     def test_summarizer(self):
         records = bench.run_worst_case([4], [0.24], 30, 4, seed=7)
@@ -364,3 +382,17 @@ class TestCliCommands:
                          str(circuit_path), "--paulis", "ZZ,+"]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "must be integers" in err[0]
+
+    @pytest.mark.parametrize("gate", [["H"], {"H": 0}, 7, None],
+                             ids=["list", "dict", "int", "null"])
+    def test_estimate_circuit_malformed_gate_name_exit_3(self, gate, tmp_path, capsys):
+        decomp_path = tmp_path / "d.json"
+        cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",
+                  "--out", str(decomp_path)])
+        circuit_path = tmp_path / "c.json"
+        circuit_path.write_text(json.dumps([{"gate": gate, "qubits": [0]}]))
+        capsys.readouterr()
+        assert cli.main(["estimate", "--decomp", str(decomp_path), "--circuit",
+                         str(circuit_path), "--paulis", "ZZ,+"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "must be a string" in err[0]

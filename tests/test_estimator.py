@@ -344,12 +344,17 @@ def ch_chain_steps(decomp, circuit, chain):
 
 
 def dense_chain_steps(decomp, circuit, chain):
-    vec = magic.dense_decomposition(decomp)
+    return dense_vector_steps(magic.dense_decomposition(decomp), decomp.t, circuit, chain)
+
+
+def dense_vector_steps(vec, t, circuit, chain):
+    """Per-step conditionals of the chain on a dense vector, zero-padded
+    from the first annihilated step on."""
     if circuit is not None:
         vec = dense.apply_clifford_dense(vec, circuit)
     steps = []
     for p, outcome in chain:
-        res = dense.projector_factor(vec, p, outcome, decomp.t)
+        res = dense.projector_factor(vec, p, outcome, t)
         if res is None:
             break
         vec, factor = res
@@ -639,3 +644,78 @@ class TestCanonicalOrder:
                 got = estimator.pauli_prob(self.permuted(d, rng), circuit, chain)
                 assert got.raw_value == want.raw_value
                 assert got.step_values == want.step_values
+
+
+PHIS = (math.pi / 5, math.pi / 4, math.pi / 3, math.pi / 2, 0.3)
+
+
+class TestTargetReferences:
+    def test_target_prob_matches_dense(self):
+        rng = np.random.default_rng(50)
+        for t in (1, 2, 3, 5, 8, 10):
+            for phi in PHIS:
+                m = magic.magic_model(phi, t)
+                target = magic.dense_target(m)
+                for circuit in (None, sb.random_clifford_word(t, 80, rng)):
+                    p, q, r = (sb.random_pauli(t, rng) for _ in range(3))
+                    signs = [1 if rng.integers(2) else -1 for _ in range(3)]
+                    for chain in (
+                        [(p, signs[0])],
+                        [(p, signs[0]), (q, signs[1])],
+                        [(p, signs[0]), (q, signs[1]), (r, signs[2])],
+                        [(p, 1), (p, -1), (q, 1)],  # annihilated at step 2
+                    ):
+                        truth = estimator.target_prob(m, circuit, chain)
+                        ref = dense_vector_steps(target, t, circuit, chain)
+                        assert truth.step_values == pytest.approx(ref, abs=1e-12)
+                        assert truth.value == pytest.approx(math.prod(ref), abs=1e-12)
+                    assert truth.step_values[1:] == (0.0, 0.0)
+
+    def test_target_prob_one_qubit_bloch(self):
+        for phi in PHIS:
+            m = magic.magic_model(phi, 1)
+            for text, value in (("X", math.sin(phi)), ("Z", math.cos(phi)), ("Y", 0.0)):
+                for s in (1, -1):
+                    est = estimator.target_prob(m, None, [(sb.PauliOperator.from_string(text), s)])
+                    assert est.value == pytest.approx((1 + s * value) / 2, abs=1e-15)
+
+    def test_target_prob_matches_exact_estimate(self):
+        # the full 2^t-term decomposition is Psi itself
+        rng = np.random.default_rng(51)
+        m, d = full_decomposition(4)
+        op = sb.random_clifford_word(4, 60, rng)
+        chain = [(sb.random_pauli(4, rng), 1), (sb.random_pauli(4, rng), -1)]
+        truth = estimator.target_prob(m, op, chain)
+        est = estimator.pauli_prob(d, op, chain)
+        assert truth.step_values == pytest.approx(est.step_values, abs=1e-12)
+
+    def test_target_prob_rejects_mismatched_chain(self):
+        m = magic.magic_model(PI4, 3)
+        with pytest.raises(ValueError):
+            estimator.target_prob(m, None, [(sb.PauliOperator.from_string("ZZ"), 1)])
+        with pytest.raises(ValueError):
+            estimator.target_prob(m, sb.CliffordOp(2), [(sb.PauliOperator.from_string("ZZZ"), 1)])
+
+    def test_target_overlap_matches_dense(self):
+        rng = np.random.default_rng(52)
+        for t in range(1, 11):
+            for phi in PHIS:
+                m = magic.magic_model(phi, t)
+                d = magic.sample_iid(m, int(rng.integers(1, 40)), rng)
+                ref = np.vdot(magic.dense_target(m), magic.dense_decomposition(d))
+                assert abs(estimator.target_overlap(d, m) - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_closed_form_error_matches_approx_error(self):
+        rng = np.random.default_rng(53)
+        for t in (2, 4, 6, 8, 10):
+            m = magic.magic_model(PI4, t)
+            ms = masks.generate_masks_even(t)
+            for d in (
+                magic.sample_iid(m, int(rng.integers(2, 200)), rng),
+                magic.sample_correlated(m, ms, min(3, len(ms)), int(rng.integers(8, 200)), rng),
+            ):
+                err2 = (estimator.exact_sqnorm(d).value
+                        - 2 * estimator.target_overlap(d, m).real + 1)
+                assert err2 == pytest.approx(estimator.approx_error(d, m) ** 2, abs=1e-12)
+        m, d = full_decomposition(3)
+        assert abs(estimator.target_overlap(d, m) - 1) <= 1e-12

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -289,6 +290,15 @@ class TestSerialization:
         assert loaded.entries == d.entries
         assert loaded.groups == d.groups
         assert loaded.mode == d.mode
+
+    def test_legacy_null_keys_load(self, tmp_path):
+        # files written before the mask_ref / seed fields were dropped
+        d = magic.sample_iid(magic.magic_model(PI4, 4), 5, np.random.default_rng(15))
+        data = d.to_json()
+        assert "mask_ref" not in data and "seed" not in data
+        path = tmp_path / "legacy.json"
+        path.write_text(json.dumps({**data, "mask_ref": None, "seed": None}))
+        assert magic.SparseDecomposition.load(str(path)) == d
 
 
 @settings(max_examples=30, deadline=None)
