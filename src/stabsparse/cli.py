@@ -4,9 +4,9 @@ Subcommands: gen-masks, sparsify, estimate, cost and bench (with the
 experiment runners sparsify-stats, worst-case, mask-timing, cost-map).
 Exit codes: 0 on success; 2 for an argparse usage error (a missing or
 unknown option, or a value of the wrong type); 3 for any value rejected
-after parsing (a bad angle, delta, Pauli chain or mask size, a bench
-trial, thread or gate count out of range, or a missing or malformed input
-file), reported as one ``error:`` line.
+after parsing (a bad angle, delta, Pauli chain or mask size, an empty
+range or step count, a bench trial, thread or gate count out of range, or
+a missing or malformed input file), reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -37,12 +37,14 @@ def parse_phi(text: str) -> float:
 
 
 def parse_int_range(text: str) -> list:
-    """'4' or '4,8,16' or '2..6' (inclusive)."""
+    """'4' or '4,8,16' or '2..6' (inclusive, and not empty)."""
     out = []
     for part in text.split(","):
         if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(v) for v in part.split(".."))
+            if hi < lo:
+                raise ValueError(f"range {part!r} is empty: it ends below its start")
+            out.extend(range(lo, hi + 1))
         else:
             out.append(int(part))
     return out
@@ -50,6 +52,8 @@ def parse_int_range(text: str) -> list:
 
 def parse_float_list(text: str, steps: int = 13) -> list:
     """'0.2' or '0.24,0.2,0.15' or geometric '0.3..0.001' (steps points)."""
+    if steps < 1:
+        raise ValueError(f"delta step count must be at least 1, got {steps}")
     out = []
     for part in text.split(","):
         if ".." in part:

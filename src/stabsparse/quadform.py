@@ -6,8 +6,9 @@ y in F2^r (Dehaene-De Moor, quant-ph/0304125).  ``random_stabilizer_state``
 draws it uniformly without a Clifford circuit, and ``product_overlaps``
 gives its overlaps with the |0>/|+> product terms of a decomposition under
 a Pauli as exponential sums over Z4 forms (Bravyi-Gosset,
-arXiv:1601.07601), in O(t^2) int operations per term at any t.  Bit q of
-an int is qubit q, as in ``stabilizer``.
+arXiv:1601.07601): one O(t^2) form per state and Pauli, then one
+elimination per term, at any t.  Bit q of an int is qubit q, as in
+``stabilizer``.
 """
 
 from __future__ import annotations
@@ -130,29 +131,32 @@ def _z4_sum(L: list, J: list, alive: int):
     """sum over u in F2^alive of i^(sum_m L_m u_m + 2 sum_(m<n) J_mn u_m u_n).
 
     ``alive`` is the mask of the variables, ``L[m]`` an int (read mod 4)
-    and ``J[m]`` a mask of the n with J_mn = 1 (symmetric, bits outside
-    ``alive`` ignored); both lists are updated in place.  Returns (e, k)
-    with the sum 2^(e/2) w^k, w = e^(i pi/4), or None when it is 0.  The
-    variables are summed out one at a time, the highest first.  An odd L_m
-    gives sqrt2 w^(2 - L_m) i^((L_m - 2) s), s = parity(J_m . u), which
-    moves L and J of m's neighbours; an even L_m gives 2 [s = L_m/2], a
-    constraint that replaces one neighbour, or 0 when m has none.
+    and ``J[m]`` a mask of the n with J_mn = 1 (symmetric); both lists are
+    updated in place.  Only bits of variables still to be summed are ever
+    read, so bits outside ``alive`` and each row's own bit may hold
+    anything.  Returns (e, k) with the sum 2^(e/2) w^k, w = e^(i pi/4), or
+    None when it is 0.  The variables are summed out one at a time, the
+    highest first.  An odd L_m gives sqrt2 w^(2 - L_m) i^((L_m - 2) s),
+    s = parity(J_m . u), which moves L and J of m's neighbours; an even L_m
+    gives 2 [s = L_m/2], a constraint that replaces one neighbour, or 0
+    when m has none.
     """
     e = k = 0
     while alive:
         m = alive.bit_length() - 1
         alive ^= 1 << m
-        lm, nb = L[m] % 4, J[m] & alive
+        lm, nb = L[m] & 3, J[m] & alive
         if lm & 1:
             # in Z4, s = sum_nb u - 2 sum_(pairs in nb) u u
             e += 1
             k += 2 - lm
+            lm -= 2
             rest = nb
             while rest:
                 bit = rest & -rest
                 n = bit.bit_length() - 1
-                L[n] += lm - 2
-                J[n] ^= nb ^ bit
+                L[n] += lm
+                J[n] ^= nb
                 rest ^= bit
             continue
         e += 2
@@ -167,20 +171,23 @@ def _z4_sum(L: list, J: list, alive: int):
         p = p_bit.bit_length() - 1
         alive ^= p_bit
         T, c = nb ^ p_bit, lm >> 1
-        lp, np_ = L[p] % 4, J[p] & alive
+        lp, np_ = L[p] & 3, J[p] & alive
         k += 2 * lp * c
+        # T's rows gain lt and toggle jt, N_p's gain ln and toggle T
+        lt, jt, ln = lp * (1 - 2 * c), np_ ^ T if lp & 1 else np_, 2 * c
         rest = np_ | T
         while rest:
             bit = rest & -rest
             n = bit.bit_length() - 1
-            toggle = 0
-            if bit & T:
-                L[n] += lp * (1 - 2 * c)
-                toggle ^= np_ ^ (T if lp & 1 else 0)
-            if bit & np_:
-                L[n] += 2 * c + (2 if bit & T else 0)
-                toggle ^= T
-            J[n] ^= toggle & ~bit
+            if not bit & T:
+                L[n] += ln
+                J[n] ^= T
+            elif bit & np_:
+                L[n] += lt + ln + 2
+                J[n] ^= jt ^ T
+            else:
+                L[n] += lt
+                J[n] ^= jt
             rest ^= bit
     return e, k
 
@@ -196,10 +203,12 @@ def product_overlaps(
     pivot bits are y itself, so a point inside b fixes y off b, and each
     non-pivot column c outside b asks parity(y & column c) = (a0 ^ x)_c.
     Each such check enters the sum as one more variable v_c, through
-    [check] = 1/2 sum_v (-1)^(v (y . column c + (a0 ^ x)_c)).  Shifting q
-    to the fixed part leaves one Z4 form over the free pivots and the
-    checks, which ``_z4_sum`` sums: O(t^2) int operations per label
-    (Bravyi-Gosset, arXiv:1601.07601).
+    [check] = 1/2 sum_v (-1)^(v (y . column c + (a0 ^ x)_c)).  One Z4 form
+    over all t variables (pivots and checks) is built per call, and each
+    label restricts it to its free pivots and checks, shifting q by the
+    fixed pivots, and sums it with ``_z4_sum``: one O(t^2) form per state
+    and Pauli, then one elimination per label (Bravyi-Gosset,
+    arXiv:1601.07601).
     """
     t, rows = state.t, state.R
     piv = [row & -row for row in rows]
@@ -218,12 +227,17 @@ def product_overlaps(
     sign = (z & a).bit_count() & 1
     lin, diag = cols(state.l), 0
     upper, sym = {}, dict.fromkeys(piv, 0)  # q's pairs: above, both sides
-    column: dict = {}  # non-pivot column bit -> pivots whose rows have it
+    # the form: a pivot n has L = l_n + 2 q_nn (after Z^z) and J = q's pairs
+    # and its row's check columns; a check c has L = 2 (a0 ^ x)_c and J =
+    # column c
+    L0, J0 = [2 * ((a >> n) & 1) for n in range(t)], [0] * t
     for j, (p, row, qj) in enumerate(zip(piv, rows, state.Q)):
+        n = p.bit_length() - 1
         if ((qj >> j) ^ (z & row).bit_count()) & 1:
             diag |= p
         upper[p] = rest = cols(qj >> (j + 1) << (j + 1))
-        sym[p] |= rest
+        sym[p] |= rest  # complete: the rows before j have added theirs
+        L0[n], J0[n] = ((lin >> n) & 1) + 2 * ((diag >> n) & 1), sym[p] | row ^ p
         while rest:
             bit = rest & -rest
             sym[bit] |= p
@@ -231,52 +245,32 @@ def product_overlaps(
         rest = row ^ p
         while rest:
             bit = rest & -rest
-            column[bit] = column.get(bit, 0) | p
+            J0[bit.bit_length() - 1] |= p
             rest ^= bit
     row_of = dict(zip(piv, rows))
 
-    def quad(mask: int) -> int:
-        """q(y) over the pairs inside ``mask``"""
-        total, rest = 0, mask
-        while rest:
-            bit = rest & -rest
-            total += (upper[bit] & mask).bit_count()
-            rest ^= bit
-        return total
-
-    def shift(mask: int) -> int:
-        """the linear part q(mask ^ w) - q(mask) - q(w) as a mask over w"""
-        out, rest = 0, mask
-        while rest:
-            bit = rest & -rest
-            out ^= sym[bit]
-            rest ^= bit
-        return out
-
-    full, out = (1 << t) - 1, []
-    L, J = [0] * t, [0] * t
+    out, others = [], ((1 << t) - 1) & ~pivots
     for b in labels:
-        free, y0 = pivots & b, a & pivots & ~b
-        checks = full & ~pivots & ~b
-        # y = y0 + w with w over the free pivots, disjoint from y0: the
-        # i-phases add, and q(y0 + w) = q(y0) + shift(y0) . w + q(w)
-        const = (lin & y0).bit_count() + 2 * ((diag & y0).bit_count() + quad(y0))
-        flips = diag ^ shift(y0)
-        rest = free
-        while rest:
-            bit = rest & -rest
-            n = bit.bit_length() - 1
-            L[n] = ((lin >> n) & 1) + 2 * ((flips >> n) & 1)
-            J[n] = (sym[bit] & free) | (row_of[bit] & checks)
-            rest ^= bit
-        rest = checks
-        while rest:
-            bit = rest & -rest
-            n = bit.bit_length() - 1
-            col = column.get(bit, 0)
-            L[n] = 2 * (((col & y0).bit_count() + (a >> n & 1)) & 1)
-            J[n] = col & free
-            rest ^= bit
+        free, y0, checks = pivots & b, a & pivots & ~b, others & ~b
+        L, J, const = L0[:], J0[:], 0
+        if y0:
+            # y = y0 + w with w over the free pivots, disjoint from y0: the
+            # i-phases add, q(y0 + w) = q(y0) + shift(y0) . w + q(w), and
+            # check c gains parity(y0 & column c) = (sum of y0's rows)_c
+            const = (lin & y0).bit_count() + 2 * (diag & y0).bit_count()
+            shift = moved = 0
+            rest = y0
+            while rest:
+                bit = rest & -rest
+                const += 2 * (upper[bit] & y0).bit_count()
+                shift ^= sym[bit]
+                moved ^= row_of[bit]
+                rest ^= bit
+            rest = shift & free | moved & checks
+            while rest:
+                bit = rest & -rest
+                L[bit.bit_length() - 1] += 2
+                rest ^= bit
         summed = _z4_sum(L, J, free | checks)
         if summed is None:
             out.append(0j)

@@ -311,6 +311,18 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, needle", [
+        (["--t", "3..1"], "'3..1' is empty"),
+        (["--delta-steps", "0"], "at least 1, got 0"),
+        (["--delta-steps", "-2"], "at least 1, got -2"),
+    ], ids=["t-range-reversed", "delta-steps-zero", "delta-steps-negative"])
+    def test_empty_cost_grid_exit_3(self, flags, needle, tmp_path, capsys):
+        out = tmp_path / "cost.csv"
+        assert cli.main(["cost", "--t", "1..4", "--out", str(out)] + flags) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+        assert not out.exists()
+
     def test_invalid_arguments_exit_2(self):
         with pytest.raises(SystemExit) as err:
             cli.main(["sparsify", "--t", "4"])  # missing --delta

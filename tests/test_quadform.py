@@ -127,6 +127,21 @@ class TestSampler:
             qf.random_stabilizer_state(0, np.random.default_rng(0))
 
 
+def random_bits(rng, t):
+    """A uniform t-bit int (0 for t = 0)."""
+    return int.from_bytes(rng.bytes((t + 7) // 8), "little") & ((1 << t) - 1)
+
+
+def echelon_state(t, r, rng):
+    """A random state in canonical form with r rows at random pivots."""
+    pivots = sorted(int(p) for p in rng.choice(t, size=r, replace=False))
+    others = ((1 << t) - 1) & ~sum(1 << p for p in pivots)
+    rows = tuple((1 << p) | (random_bits(rng, t) & others) >> (p + 1) << (p + 1)
+                 for p in pivots)
+    q = tuple(random_bits(rng, r) >> j << j for j in range(r))
+    return qf.QuadraticFormState(t, random_bits(rng, t) & others, rows, random_bits(rng, r), q)
+
+
 def dense_overlaps(st, x, z):
     """<phi_b| Z^z X^x |theta> for every b from dense vectors."""
     t = st.t
@@ -167,6 +182,25 @@ class TestProductOverlaps:
                 got = qf.product_overlaps(st, list(range(8)), x, z)
                 assert np.allclose(got, dense_overlaps(st, x, z), atol=1e-12)
 
+    @pytest.mark.parametrize("rank", ["none", "full", "full-1"])
+    def test_extreme_ranks_under_pivot_shifts(self, rank):
+        # r = 0, r = t and r = t - 1, with x hitting pivot columns so that
+        # labels leave fixed pivots at 1 and shift the form
+        rng = np.random.default_rng(330)
+        hits = 0
+        for t in range(1, 8):
+            r = {"none": 0, "full": t, "full-1": t - 1}[rank]
+            for _ in range(6):
+                st = echelon_state(t, r, rng)
+                pivots = sum(row & -row for row in st.R)
+                x = random_bits(rng, t) | (pivots & -pivots)
+                z = random_bits(rng, t)
+                got = qf.product_overlaps(st, list(range(1 << t)), x, z)
+                for want, have in zip(dense_overlaps(st, x, z), got):
+                    assert abs(have - want) <= 1e-12
+                hits += bool(x & pivots)
+        assert hits == 0 if rank == "none" else hits >= 30
+
     def test_two_words_against_enumeration(self):
         # t = 70: bits beyond the first 64-bit word, r = 5 rows built by hand
         t = 70
@@ -202,6 +236,54 @@ class TestProductOverlaps:
                 assert (have == 0) == (abs(want) < 1e-12)
                 nonzero += have != 0
         assert nonzero >= 40
+
+    def test_overlaps_pinned(self):
+        # pins every overlap bit for bit, recorded before the Z4 form was
+        # built once per call; a random x sets pivot bits, so the labels
+        # that leave a fixed pivot at 1 (y0 != 0) are covered
+        h = hashlib.sha256()
+        shifted = 0
+        for t in (3, 8, 16, 40, 70):
+            rng = np.random.default_rng(700 + t)
+            for _ in range(4):
+                st = qf.random_stabilizer_state(t, rng)
+                pivots = sum(row & -row for row in st.R)
+                for x, z in ((0, 0), (random_bits(rng, t), random_bits(rng, t)),
+                             (random_bits(rng, t), 0)):
+                    labels = []
+                    for i in range(20):
+                        if i % 2:
+                            labels.append(random_bits(rng, t))
+                            continue
+                        # a shifted support point and some extra bits
+                        y, point = random_bits(rng, len(st.R)), st.a0 ^ x
+                        for j, row in enumerate(st.R):
+                            if (y >> j) & 1:
+                                point ^= row
+                        labels.append(point | (random_bits(rng, t) & random_bits(rng, t)))
+                    shifted += sum(bool((st.a0 ^ x) & pivots & ~b) for b in labels)
+                    h.update(repr(qf.product_overlaps(st, labels, x, z)).encode())
+        assert shifted >= 100
+        assert h.hexdigest() == (
+            "fb96e163bc73e24cd6e6ef99e1a7cb91c49a4bbf4749ab6352a271269190dad9"
+        )
+
+    def test_z4_sum_ignores_self_bits_and_bits_outside_alive(self):
+        # the invariant behind building the form once per call: only bits of
+        # variables still to be summed are read, so junk elsewhere in J, and
+        # L or J of variables outside ``alive``, leave (e, k) unchanged
+        rng = np.random.default_rng(340)
+        width = 12
+        for _ in range(400):
+            alive = random_bits(rng, width)
+            upper = np.triu(rng.integers(0, 2, size=(width, width)), 1)
+            L = [int(v) for v in rng.integers(-8, 8, size=width)]
+            J = [sum(int(upper[m, n] | upper[n, m]) << n for n in range(width)) & alive
+                 if (alive >> m) & 1 else 0 for m in range(width)]
+            junk = [(j | random_bits(rng, width) & ~alive) ^ (int(rng.integers(2)) << m)
+                    for m, j in enumerate(J)]
+            noisy = [v if (alive >> m) & 1 else int(rng.integers(-8, 8)) for m, v in enumerate(L)]
+            assert qf._z4_sum(noisy, junk, alive) == qf._z4_sum(list(L), list(J), alive)
 
     def test_z4_sum_matches_enumeration(self):
         rng = np.random.default_rng(320)
