@@ -401,6 +401,8 @@ def run_cost_map(
     out: Optional[str] = None,
     chi_table: Optional[dict] = None,
 ) -> list:
+    for t in ts:
+        costmodel.check_t(t)
     model1 = magic.magic_model(phi, 1)
     rows = []
     for t in ts:

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: gen-masks, sparsify, estimate, cost and bench (with the
-experiment runners sparsify-stats, worst-case, mask-timing, cost-map).
+experiment runners sparsify-stats, worst-case and mask-timing).
 Exit codes: 0 on success; 2 for an argparse usage error (a missing or
 unknown option, or a value of the wrong type); 3 for any value rejected
-after parsing (a bad angle, delta, Pauli chain or mask size, an empty
+after parsing (a bad angle, delta, t, Pauli chain or mask size, an empty
 range or step count, a bench trial, thread or gate count out of range, or
 a missing or malformed input file), reported as one ``error:`` line.
 """
@@ -57,8 +57,10 @@ def parse_float_list(text: str, steps: int = 13) -> list:
     out = []
     for part in text.split(","):
         if ".." in part:
-            hi, lo = part.split("..")
-            out.extend(np.geomspace(float(hi), float(lo), steps).tolist())
+            hi, lo = (float(v) for v in part.split(".."))
+            if not (0.0 < hi <= 1.0 and 0.0 < lo <= 1.0):
+                raise ValueError(f"delta range {part!r} must lie in (0, 1]")
+            out.extend(np.geomspace(hi, lo, steps).tolist())
         else:
             out.append(float(part))
     return out
@@ -187,12 +189,6 @@ def cmd_bench(args) -> int:
         records = bench.run_mask_timing(parse_int_range(args.t), out=args.out)
         if len({r.t for r in records}) >= 2:
             print(f"fitted per-mask exponent: {bench.timing_exponent(records):.3f}")
-    elif args.experiment == "cost-map":
-        bench.run_cost_map(
-            parse_int_range(args.t), parse_float_list(args.delta),
-            parse_phi(args.phi), out=args.out,
-        )
-        print(f"cost map written to {args.out}")
     return 0
 
 
@@ -229,7 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("cost", help="emit the sampling-cost map")
+    p = sub.add_parser("cost", help="emit the sampling-cost map",
+                       epilog="CSV columns: " + ", ".join(bench.COST_MAP_COLUMNS) + ".")
     p.add_argument("--phi", default="pi/4")
     p.add_argument("--t", default="1..200")
     p.add_argument("--delta", default="0.3..0.001")
@@ -248,13 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
             + "; sparsify-stats adds " + ", ".join(bench.SPARSIFY_METRICS)
             + "; worst-case adds " + ", ".join(bench.WORST_CASE_METRICS)
             + "; mask-timing adds " + ", ".join(bench.MASK_TIMING_METRICS)
-            + "; cost-map uses " + ", ".join(bench.COST_MAP_COLUMNS)
             + ". Wall-clock columns vary between runs; all other columns are "
             "byte-identical for a fixed --seed at any --threads."
         ),
     )
     p.add_argument("experiment",
-                   choices=["sparsify-stats", "worst-case", "mask-timing", "cost-map"])
+                   choices=["sparsify-stats", "worst-case", "mask-timing"])
     p.add_argument("--phi", default="pi/4")
     p.add_argument("--t", default="8")
     p.add_argument("--delta", default="0.4")

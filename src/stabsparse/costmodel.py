@@ -28,6 +28,8 @@ ASYMPTOTE_ROUNDED = 0.05
 CHI_EXPONENT_DEFAULT = 0.396
 #: published exact stabilizer ranks for small T-gate counts
 CHI_TABLE = {4: 4.0, 8: 12.0, 16: 108.0}
+#: largest t whose chi_t^2 = 2^(2 * 0.396 t) is a finite float
+T_MAX = int(1024 / (2 * CHI_EXPONENT_DEFAULT))
 
 WEAK_CORRELATED = "WEAK_CORRELATED"
 STRONG = "STRONG"
@@ -123,15 +125,28 @@ def k_correlated_raw(xi: float, delta: float, f_t: float) -> float:
 
 
 def k_correlated(xi: float, delta: float, f_t: int) -> int:
-    """Smallest k (a multiple of f_t + 1) satisfying the cubic bound."""
+    """Smallest k (a multiple of f_t + 1) satisfying the cubic bound, signed
+    exactly as p(k) (dd xd)^2 in ints for delta = dn/dd and xi = xn/xd (above
+    2^53 integers share floats); steps from the float root bracket, then bisect."""
+    (xn, xd), (dn, dd) = xi.as_integer_ratio(), delta.as_integer_ratio()
+    s = (dd * xd) ** 2
+    a, b, c = (dn * xd) ** 2, 4 * f_t * s, -(2 * (xn * dd) ** 2 + f_t * f_t * s)
+
+    def p(k: int) -> int:
+        return ((a * k + b) * k + c) * k - f_t**3 * s
+
     root = k_correlated_raw(xi, delta, float(f_t))
-    p = _cubic(xi, delta, float(f_t))
-    k0 = max(1, int(math.ceil(root)))
-    while k0 > 1 and p(k0 - 1) >= 0.0:
-        k0 -= 1
-    while p(k0) < 0.0:
-        k0 += 1
-    return _round_up_multiple(k0, f_t + 1)
+    lo = max(1, math.ceil(root)) - 1
+    # until bracketed: lo = 0 or p(lo) < 0, and p(hi) >= 0
+    hi, step = lo + 1, max(1, int(math.ulp(root)))
+    while p(hi) < 0:
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo > 0 and p(lo) >= 0:
+        lo, hi, step = max(0, lo - step), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if p(mid) >= 0 else (mid, hi)
+    return _round_up_multiple(hi, f_t + 1)
 
 
 @dataclass(frozen=True)
@@ -154,6 +169,12 @@ class RegimePoint:
     cheapest: str
 
 
+def check_t(t: int) -> None:
+    """The regime map's range: chi_t^2 must be a finite float."""
+    if not 1 <= t <= T_MAX:
+        raise ValueError(f"t must lie in [1, {T_MAX}], where chi_t^2 is a finite float")
+
+
 def chi_t(t: int, table: Optional[dict] = None) -> float:
     """Stabilizer-rank model 2^(0.396 t), with optional per-t overrides."""
     if table and t in table:
@@ -168,8 +189,7 @@ def regime(
     chi_table: Optional[dict] = None,
 ) -> RegimePoint:
     """Evaluate the weak/strong/exact comparison at one (t, delta) cell."""
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    check_t(t)
     if not 0.0 < delta <= 1.0:
         raise ValueError("delta must lie in (0, 1]")
     xi = xi_1**t
@@ -190,6 +210,16 @@ def regime(
     return RegimePoint(t=t, delta=delta, xi_t=xi, chi_t=chi, flags=flags, cheapest=cheapest)
 
 
+def _crossover(xi_1: float, c_strong: float, c_exact: float) -> int:
+    """Largest t <= 400 with (c_exact xi / chi^2)^(1/3) > c_strong xi / chi."""
+    last = 0
+    for t in range(1, 401):
+        xi, chi = xi_1**t, chi_t(t)
+        if (c_exact * xi / chi**2) ** (1.0 / 3.0) > c_strong * xi / chi:
+            last = t
+    return last
+
+
 def exact_vs_strong_crossover(xi_1: float) -> int:
     """Largest t at which exact simulation overtakes weak before strong does.
 
@@ -198,30 +228,13 @@ def exact_vs_strong_crossover(xi_1: float) -> int:
     below delta_s = a xi / chi; the ordering delta_e > delta_s holds iff
     chi > (a xi)^2, which fails beyond the returned t (scanned to t = 400).
     """
-    a = ASYMPTOTE_ROUNDED
-    last = 0
-    for t in range(1, 401):
-        xi = xi_1**t
-        chi = chi_t(t)
-        d_strong = a * xi / chi
-        d_exact = (a * xi / chi**2) ** (1.0 / 3.0)
-        if d_exact > d_strong:
-            last = t
-    return last
+    return _crossover(xi_1, ASYMPTOTE_ROUNDED, ASYMPTOTE_ROUNDED)
 
 
 def outcome_crossover(xi_1: float) -> int:
     """Same ordering scan for the outcome-estimation inequality pair."""
     a = ASYMPTOTE_ROUNDED
-    last = 0
-    for t in range(1, 401):
-        xi = xi_1**t
-        chi = chi_t(t)
-        d_strong = a * SOTA_PREFACTOR * xi / chi
-        d_exact = ((12.0 * a / SOTA_PREFACTOR) * xi / chi**2) ** (1.0 / 3.0)
-        if d_exact > d_strong:
-            last = t
-    return last
+    return _crossover(xi_1, a * SOTA_PREFACTOR, 12.0 * a / SOTA_PREFACTOR)
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,18 @@ triangle in row tiles, summed as real 2 x 2 products of [Re a, Im a] with
 terms in canonical order (see ``_gram``); ``exact_sqnorm`` is its P = I
 case.  Monte-Carlo norm estimation (``fastnorm``) samples random
 stabilizer states instead, drawn directly by ``quadform`` with closed-form
-product-term overlaps.  Probability estimation works in the Heisenberg
-picture: one Pauli frame pushes the measured Paulis back through the
-Clifford circuit (``CliffordOp.conjugate_paulis``), and a joint outcome
-probability is a telescoping product of ratios of norms under the
-projected Pauli sums.  One chain evaluator serves estimates and truths:
+product-term overlaps, by one loop at every t.  Probability estimation
+works in the Heisenberg picture: one Pauli frame pushes the measured
+Paulis back through the Clifford circuit (``CliffordOp.conjugate_paulis``),
+and a joint outcome probability is a telescoping product of ratios of
+norms under the projected Pauli sums.  One chain evaluator serves estimates and truths:
 ``pauli_prob`` takes the Paulis' values on psi from one Gram call (or
 samples them), ``target_prob`` takes them on the exact magic state from
 its one-qubit Bloch components, and both share the annihilation rule and
 the clamp.  ``target_overlap`` gives <Psi|psi> in O(k t), hence the
 sparsification error at any t.  ``approx_error``, the ``rho1_*``
-diagnostics and ``sqnorm_terms`` stay as dense and CH-form test oracles.
+diagnostics and ``sqnorm_terms`` stay as dense and CH-form test oracles;
+they are the module's only users of ``dense``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .magic import to_states  # noqa: F401  (unused here; perfbench traces it at
 from .quadform import product_overlaps, random_stabilizer_state
 from .stabilizer import (
     CliffordOp,
-    PauliOperator,
     apply_clifford,  # noqa: F401  (unused here; perfbench traces it at this name)
     project_pauli,  # noqa: F401  (unused here; perfbench traces it at this name)
     random_clifford,  # noqa: F401  (unused here; perfbench traces it at this name)
@@ -171,41 +171,28 @@ def fastnorm(decomp: SparseDecomposition, m_samples: int, rng) -> NormEstimate:
     )
 
 
-_I_POWERS = np.array([1, 1j, -1, -1j])
-
-
 def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int, rng) -> float:
     """(2^t / M) sum_j |<theta_j| O |psi>|^2 for O = sum c X^x Z^z, {(x, z): c}.
 
-    Each sample is one ``random_stabilizer_state`` draw on either branch, so
-    a seed gives the same theta_j at any t.  Up to the dense cap,
-    <theta|O psi> is one gather of the precomputed dense O|psi> over
-    theta's support; above it, each term's <theta| X^x Z^z |phi_b> comes
-    from ``product_overlaps`` as conj(<phi_b| Z^z X^x |theta>).
+    Each theta_j is one ``random_stabilizer_state`` draw, and each term's
+    <theta| X^x Z^z |phi_b> comes from ``product_overlaps`` as
+    conj(<phi_b| Z^z X^x |theta>).  The 2^t scaling is exact (``ldexp``)
+    and, like the Gram kernel's, covers t <= 1024.
     """
     if m_samples < 1:
         raise ValueError("sample count must be at least 1")
-    t = decomp.t
+    if decomp.t > 1024:
+        raise ValueError("fastnorm's 2^t scaling covers t <= 1024")
+    labels, phases = [b for b, _ in decomp.entries], decomp.phases()
     total = 0.0
-    if t <= dense.VECTOR_CAP:
-        psi = dense_decomposition(decomp)
-        vec = sum(
-            c * (-1j) ** (x & z).bit_count() * dense.pauli_apply(psi, PauliOperator(t, x, z), t)
+    for _ in range(m_samples):
+        theta = random_stabilizer_state(decomp.t, rng)
+        amp = sum(
+            c * np.vdot(product_overlaps(theta, labels, x, z), phases)
             for (x, z), c in pauli_sum.items()
         )
-        for _ in range(m_samples):
-            points, e = random_stabilizer_state(t, rng).support()
-            total += abs(np.vdot(_I_POWERS[e], vec[points])) ** 2 / len(points)
-    else:
-        labels, phases = [b for b, _ in decomp.entries], decomp.phases()
-        for _ in range(m_samples):
-            theta = random_stabilizer_state(t, rng)
-            amp = sum(
-                c * np.vdot(product_overlaps(theta, labels, x, z), phases)
-                for (x, z), c in pauli_sum.items()
-            )
-            total += abs(decomp.prefactor * amp) ** 2
-    return float(2.0**t * total / m_samples)
+        total += abs(decomp.prefactor * amp) ** 2
+    return float(math.ldexp(total, decomp.t) / m_samples)
 
 
 def approx_error(decomp: SparseDecomposition, model: MagicModel) -> float:

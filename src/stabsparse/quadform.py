@@ -7,8 +7,8 @@ draws it uniformly without a Clifford circuit, and ``product_overlaps``
 gives its overlaps with the |0>/|+> product terms of a decomposition under
 a Pauli as exponential sums over Z4 forms (Bravyi-Gosset,
 arXiv:1601.07601): one O(t^2) form per state and Pauli, then one
-elimination per term, at any t.  Bit q of an int is qubit q, as in
-``stabilizer``.
+elimination per term, at any t: fastnorm's only sampler.  Bit q of an
+int is qubit q, as in ``stabilizer``.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import functools
 import itertools
 import math
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from .stabilizer import _add_row
 
@@ -44,24 +42,6 @@ class QuadraticFormState(NamedTuple):
     R: tuple
     l: int
     Q: tuple
-
-    def support(self) -> tuple:
-        """(x, e): the 2^r support points and theta(x) = 2^(-r/2) i^e.
-
-        Built by doubling over the rows: index y's bit j is y_j, and adding
-        row j adds l_j + 2 Q_jj + 2 |y & column j of Q above the diagonal|.
-        """
-        if self.t > 62:
-            raise ValueError("dense support points are limited to t <= 62")
-        x = np.array([self.a0], dtype=np.int64)
-        e = np.zeros(1, dtype=np.int64)
-        for j, row in enumerate(self.R):
-            above = sum(((q >> j) & 1) << i for i, q in enumerate(self.Q[:j]))
-            step = ((self.l >> j) & 1) + 2 * ((self.Q[j] >> j) & 1)
-            quad = np.bitwise_count(np.arange(len(x)) & above).astype(np.int64)
-            x = np.concatenate([x, x ^ row])
-            e = np.concatenate([e, (e + step + 2 * quad) % 4])
-        return x, e
 
 
 def support_dimension_counts(t: int) -> list:

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from stabsparse import bench, cli, costmodel, estimator, magic, masks
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestPlans:
@@ -298,8 +304,11 @@ class TestCliCommands:
         ("worst-case", ["--trials", "-2"], "at least 1"),
         ("worst-case", ["--threads", "0"], "at least 1"),
         ("sparsify-stats", ["--threads", "0"], "at least 1"),
+        ("sparsify-stats", ["--delta", "0.3..0"], "must lie in (0, 1]"),
+        ("worst-case", ["--delta", "0..0.3"], "must lie in (0, 1]"),
     ], ids=["cliffords-negative", "trials-zero", "trials-negative",
-         "worst-case-threads-zero", "sparsify-stats-threads-zero"])
+         "worst-case-threads-zero", "sparsify-stats-threads-zero",
+         "sparsify-stats-delta-range-to-zero", "worst-case-delta-range-from-zero"])
     def test_out_of_range_bench_integers_exit_3(self, experiment, flags, needle,
                                                  tmp_path, capsys):
         out = tmp_path / "b.csv"
@@ -315,13 +324,50 @@ class TestCliCommands:
         (["--t", "3..1"], "'3..1' is empty"),
         (["--delta-steps", "0"], "at least 1, got 0"),
         (["--delta-steps", "-2"], "at least 1, got -2"),
-    ], ids=["t-range-reversed", "delta-steps-zero", "delta-steps-negative"])
+        (["--t", "1293"], "t must lie in [1, 1292]"),
+        (["--t", "100000"], "t must lie in [1, 1292]"),
+        (["--delta", "0.3..0"], "'0.3..0' must lie in (0, 1]"),
+    ], ids=["t-range-reversed", "delta-steps-zero", "delta-steps-negative",
+         "t-chi-squared-overflows", "t-far-beyond-range", "delta-range-to-zero"])
     def test_empty_cost_grid_exit_3(self, flags, needle, tmp_path, capsys):
         out = tmp_path / "cost.csv"
         assert cli.main(["cost", "--t", "1..4", "--out", str(out)] + flags) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["cost", "--t", "300..310,350"], 0),
+        (["sparsify", "--t", "400", "--mode", "theorem2", "--delta", "0.3"], 3),
+    ], ids=["cost-map-beyond-2^53", "theorem2-plan-beyond-2^53"])
+    def test_counts_beyond_float_integers_return(self, argv, code, tmp_path):
+        # k_correlated used to walk the cubic in floats, which never ends
+        # once neighbouring integers share a float; a subprocess with a
+        # timeout turns such a hang into a failure
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "stabsparse.cli", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert code == 0 or len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("t, code", [(1024, 0), (1025, 3)])
+    def test_estimate_fastnorm_t_range(self, t, code, tmp_path, capsys):
+        decomp_path = tmp_path / "d.json"
+        decomp_path.write_text(json.dumps({
+            "t": t, "k": 1, "prefactor": 1.0, "mode": "IID",
+            "entries": [{"x": "0", "phase": [1.0, 0.0]}],
+        }))
+        assert cli.main(["estimate", "--decomp", str(decomp_path), "--paulis",
+                         "Z" * t + ",+", "--method", "fastnorm",
+                         "--fastnorm-samples", "1"]) == code
+        if code:
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and "t <= 1024" in err[0]
 
     def test_invalid_arguments_exit_2(self):
         with pytest.raises(SystemExit) as err:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -96,6 +97,23 @@ class TestKCorrelated:
             if k > f_t + 1:
                 assert p(k - (f_t + 1)) < 0
 
+    def test_exact_minimum_beyond_float_integers(self):
+        # above 2^53 neighbouring integers share a float; the count is still
+        # the smallest group multiple at which the cubic, in rationals, is >= 0
+        for t in (200, 250, 300):
+            for delta in (0.3, 0.01, 0.001):
+                xi = XI1**t
+                f_t = cm.f_t_optimal(delta, xi)
+                k = cm.k_correlated(xi, delta, f_t)
+                x, d = Fraction(xi), Fraction(delta)
+
+                def p(k):
+                    return d * d * k**3 + 4 * f_t * k**2 - (2 * x * x + f_t**2) * k - f_t**3
+
+                assert k % (f_t + 1) == 0
+                assert p(k) >= 0
+                assert k <= f_t + 1 or p(k - (f_t + 1)) < 0
+
     def test_monotone_in_f(self):
         # the continuous root decreases with the supplement count up to
         # the optimum; group rounding may wiggle by at most f + 1
@@ -147,6 +165,9 @@ class TestRegime:
     def test_validation(self):
         with pytest.raises(ValueError):
             cm.regime(0, 0.1, XI1)
+        assert cm.regime(cm.T_MAX, 0.1, XI1).chi_t ** 2 < math.inf
+        with pytest.raises(ValueError, match=rf"\[1, {cm.T_MAX}\]"):
+            cm.regime(cm.T_MAX + 1, 0.1, XI1)
         with pytest.raises(ValueError):
             cm.regime(4, 1.5, XI1)
 

@@ -125,6 +125,20 @@ class TestFastnorm:
         sem = values.std(ddof=1) / math.sqrt(reps)
         assert abs(values.mean() - exact) <= 3 * sem
 
+    def test_covers_the_gram_range(self):
+        # 2^t |<theta|0^t>|^2 is 0 or 2^(t - r) for a support of dimension
+        # r, so the estimate is an exact power of two even at t = 1024,
+        # where 2.0**t itself overflows
+        def basis_state(t):
+            return magic.SparseDecomposition(
+                t=t, k=1, prefactor=1.0, entries=((0, 1.0 + 0j),), mode=magic.IID
+            )
+
+        value = estimator.fastnorm(basis_state(1024), 1, np.random.default_rng(3)).value
+        assert value == 0.0 or (math.isfinite(value) and math.frexp(value)[0] == 0.5)
+        with pytest.raises(ValueError, match="t <= 1024"):
+            estimator.fastnorm(basis_state(1025), 1, np.random.default_rng(3))
+
     def test_concentrates_near_exact(self):
         m = magic.magic_model(PI4, 4)
         d = magic.sample_iid(m, 8, np.random.default_rng(8))
@@ -450,28 +464,8 @@ class TestHeisenbergPauliProb:
         with pytest.raises(ValueError):
             estimator.pauli_prob(d, circuit, chain, **kwargs)
 
-    def test_fastnorm_branches_agree_draw_for_draw(self, monkeypatch):
-        # both branches consume the rng only through random_stabilizer_state,
-        # so the same seed gives the same theta draws on the closed-form and
-        # the dense branch
-        rng = np.random.default_rng(45)
-        m = magic.magic_model(PI4, 4)
-        d = magic.sample_iid(m, 5, rng)
-        circuit = sb.random_clifford_word(4, 60, rng)
-        chain = [(sb.random_pauli(4, rng), 1), (sb.PauliOperator.from_string("-YZXI"), -1)]
-
-        def run():
-            return estimator.pauli_prob(
-                d, circuit, chain, method=estimator.FASTNORM, fastnorm_samples=6,
-                rng=np.random.default_rng(46),
-            ).step_values
-
-        on_dense = run()
-        monkeypatch.setattr(dense, "VECTOR_CAP", 0)
-        assert run() == pytest.approx(on_dense, rel=1e-9)
-
     def test_fastnorm_ch_branch_pooled_mean(self):
-        # t = 13 is above the dense cap, so every sample runs the CH branch
+        # every sample draws a stabilizer state and sums closed-form overlaps
         start = time.perf_counter()
         rng = np.random.default_rng(42)
         m = magic.magic_model(PI4, 13)

@@ -302,9 +302,9 @@ class TestPackedTableau:
         )
 
     def test_fastnorm_ch_values_pinned(self):
-        # t = 13 and 16 are above the dense cap, so every draw runs the
-        # closed-form overlaps; the digest was recorded when fastnorm moved
-        # from random Clifford words on the CH form to random_stabilizer_state
+        # every draw runs the closed-form overlaps; the digest was recorded
+        # when fastnorm moved from random Clifford words on the CH form to
+        # random_stabilizer_state
         h = hashlib.sha256()
         for t, seed in ((13, 0), (13, 1), (16, 2), (16, 3)):
             model = magic.magic_model(math.pi / 4, t)
