@@ -19,7 +19,7 @@ import csv
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -386,12 +386,7 @@ def timing_exponent(records: Sequence[ExperimentRecord]) -> float:
 # experiment: cost map
 # ---------------------------------------------------------------------------
 
-COST_MAP_COLUMNS = (
-    "t", "delta", "xi_t", "chi_t",
-    "k_iid_quadratic", "k_sota", "k_iid_tight", "k_theorem1", "k_correlated",
-    "k_correlated_asymptotic", "f_t", "beta", "cheapest_regime",
-    "ratio_sota_over_correlated", "ratio_sota_over_asymptotic",
-)
+COST_MAP_COLUMNS = tuple(f.name for f in fields(costmodel.CostPoint))
 
 
 def run_cost_map(
@@ -422,12 +417,5 @@ def run_cost_map(
             writer = csv.writer(fh)
             writer.writerow(COST_MAP_COLUMNS)
             for p in rows:
-                writer.writerow([
-                    p.t, repr(p.delta), repr(p.xi_t), repr(p.chi_t),
-                    p.k_iid_quadratic, p.k_sota, p.k_iid_tight,
-                    "" if p.k_theorem1 is None else p.k_theorem1,
-                    p.k_correlated, p.k_correlated_asymptotic,
-                    p.f_t, repr(p.beta), p.cheapest_regime,
-                    repr(p.ratio_vs_sota()), repr(p.asymptotic_ratio_vs_sota()),
-                ])
+                writer.writerow([_fmt(getattr(p, name)) for name in COST_MAP_COLUMNS])
     return rows

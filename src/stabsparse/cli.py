@@ -5,8 +5,9 @@ experiment runners sparsify-stats, worst-case and mask-timing).
 Exit codes: 0 on success; 2 for an argparse usage error (a missing or
 unknown option, or a value of the wrong type); 3 for any value rejected
 after parsing (a bad angle, delta, t, Pauli chain or mask size, an empty
-range or step count, a bench trial, thread or gate count out of range, or
-a missing or malformed input file), reported as one ``error:`` line.
+range or step count, a bench trial, thread or gate count out of range, a
+term count too large to draw, or an input or output path that cannot be
+read, written or parsed), reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -269,7 +270,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -38,6 +38,8 @@ EXACT_SIM = "EXACT"
 
 def _int_ceil(x: float) -> int:
     """Ceiling with a few-ulp guard against float noise."""
+    if not math.isfinite(x):
+        raise ValueError(f"count {x!r} is not a finite number")
     return int(math.ceil(x - 1e-12 * max(1.0, abs(x))))
 
 
@@ -74,21 +76,26 @@ def k_theorem1(xi: float, delta: float, gamma: float) -> int:
 def _check(xi: float, delta: float) -> None:
     if xi < 1.0:
         raise ValueError("extent must be at least 1")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    _check_delta(delta)
+
+
+def _check_delta(delta: float) -> None:
+    """Every count's range: delta in (0, 1], with delta^3 a nonzero float."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
+    if delta**3 == 0.0:
+        raise ValueError(f"delta = {delta!r} is so small that delta^3 underflows to zero")
 
 
 def optimal_beta(delta: float) -> float:
     """Numerically optimal supplement fraction beta = 10 delta^2."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
+    _check_delta(delta)
     return 10.0 * delta**2
 
 
 def f_t_optimal(delta: float, xi: float) -> int:
     """Supplements per seed at the optimal beta: round(10 delta xi)."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
+    _check_delta(delta)
     return int(round(optimal_beta(delta) * xi / delta))
 
 
@@ -190,8 +197,7 @@ def regime(
 ) -> RegimePoint:
     """Evaluate the weak/strong/exact comparison at one (t, delta) cell."""
     check_t(t)
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must lie in (0, 1]")
+    _check_delta(delta)
     xi = xi_1**t
     chi = chi_t(t, chi_table)
     a = ASYMPTOTE_ROUNDED
@@ -239,7 +245,7 @@ def outcome_crossover(xi_1: float) -> int:
 
 @dataclass(frozen=True)
 class CostPoint:
-    """One row of the cost map."""
+    """One row of the cost map, its fields the CSV columns in order."""
 
     t: int
     delta: float
@@ -254,18 +260,14 @@ class CostPoint:
     f_t: int
     beta: float
     cheapest_regime: str
-
-    def ratio_vs_sota(self) -> float:
-        return self.k_sota / self.k_correlated
-
-    def asymptotic_ratio_vs_sota(self) -> float:
-        """(2+sqrt2)/(sqrt402-20) ~ 68.4 wherever the counts are large."""
-        return self.k_sota / self.k_correlated_asymptotic
+    ratio_sota_over_correlated: float
+    #: (2+sqrt2)/(sqrt402-20) ~ 68.4 wherever the counts are large
+    ratio_sota_over_asymptotic: float
 
     def equivalent_magic_gates_removed(self) -> float:
         """t' with xi_1^t' equal to the asymptotic-law ratio (~27 at pi/4)."""
         xi_1 = self.xi_t ** (1.0 / self.t)
-        return math.log(self.asymptotic_ratio_vs_sota()) / math.log(xi_1)
+        return math.log(self.ratio_sota_over_asymptotic) / math.log(xi_1)
 
 
 def cost_point(
@@ -281,18 +283,22 @@ def cost_point(
     k_th1 = None
     if gamma is not None and gamma < xi:
         k_th1 = k_theorem1(xi, delta, gamma)
+    k_sota_t, k_corr = k_sota(xi, delta), k_correlated(xi, delta, f_t)
+    k_asym = _int_ceil(ASYMPTOTE_EXACT * xi / delta)
     return CostPoint(
         t=t,
         delta=delta,
         xi_t=xi,
         chi_t=reg.chi_t,
         k_iid_quadratic=k_iid_quadratic(xi, delta),
-        k_sota=k_sota(xi, delta),
+        k_sota=k_sota_t,
         k_iid_tight=k_iid_tight(xi, delta),
         k_theorem1=k_th1,
-        k_correlated=k_correlated(xi, delta, f_t),
-        k_correlated_asymptotic=_int_ceil(ASYMPTOTE_EXACT * xi / delta),
+        k_correlated=k_corr,
+        k_correlated_asymptotic=k_asym,
         f_t=f_t,
         beta=optimal_beta(delta),
         cheapest_regime=reg.cheapest,
+        ratio_sota_over_correlated=k_sota_t / k_corr,
+        ratio_sota_over_asymptotic=k_sota_t / k_asym,
     )

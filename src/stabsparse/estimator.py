@@ -254,8 +254,8 @@ def _chain(t: int, circuit: Optional[CliffordOp], paulis: Sequence) -> list:
     Pi'_j = (I + outcome_j P'_j)/2, a sum of at most 2^j Paulis.
     """
     for p, outcome in paulis:
-        if not p.is_hermitian or outcome not in (1, -1):
-            raise ValueError("measurements need Hermitian Paulis and outcomes +-1")
+        if outcome not in (1, -1):
+            raise ValueError("measurement outcomes must be +1 or -1")
         if p.n != t:
             raise ValueError("Pauli and state disagree on qubit count")
     if circuit is None:

@@ -193,7 +193,11 @@ def _sample_entries(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
     shift, w the Hamming weight.  One ``rng.random((m, t))`` call draws the
     same stream as m calls of ``rng.random(t)``; bit q of seed i is draw (i, q).
     """
-    packed = np.packbits(rng.random((m, model.t)) < model.p1, axis=1, bitorder="little")
+    try:
+        packed = np.packbits(rng.random((m, model.t)) < model.p1, axis=1, bitorder="little")
+    except (MemoryError, ValueError):  # numpy refuses the size at once
+        raise ValueError(f"cannot draw k = {m * len(shifts)} terms at t = {model.t}: "
+                         "the draws do not fit in memory") from None
     data, width = packed.tobytes(), packed.shape[1]
     seeds = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
     table = [model.u0 ** (model.t - w) * model.u1**w for w in range(model.t + 1)]

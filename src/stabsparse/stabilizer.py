@@ -16,12 +16,13 @@ and all row signs into Python ints (Stim-style, arXiv:2103.02202).
 Conventions: qubit q corresponds to bit q of an integer basis label
 (little endian).  A basis string ``"011"`` puts qubit 0 in |0> and qubits
 1, 2 in |1>.  Pauli strings such as ``"+XZI"`` list qubit 0 first.
+Every Pauli is a measured observable, so its phase is a sign, +1 or -1.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -53,32 +54,25 @@ def bits_from_string(text: str) -> int:
 # Pauli operators
 # ---------------------------------------------------------------------------
 
-_PHASE_CHARS = {1: "+", -1: "-", 1j: "+i", -1j: "-i"}
-
-
 @dataclass(frozen=True)
 class PauliOperator:
-    """A Pauli operator ``phase * sigma_1 x ... x sigma_n``.
+    """A Hermitian Pauli operator ``phase * sigma_1 x ... x sigma_n``.
 
     ``x_bits``/``z_bits`` are little-endian bit masks; qubit q carries
     X when bit q of ``x_bits`` is set, Z when bit q of ``z_bits`` is set
-    and Y when both are set.  ``phase`` must be one of 1, -1, 1j, -1j.
+    and Y when both are set.  ``phase`` is the sign, 1 or -1.
     """
 
     n: int
     x_bits: int
     z_bits: int
-    phase: complex = 1
+    phase: int = 1
 
     def __post_init__(self):
-        if self.phase not in (1, -1, 1j, -1j):
-            raise ValueError("phase must be a fourth root of unity")
+        if self.phase not in (1, -1):
+            raise ValueError("phase must be a sign, 1 or -1")
         if self.x_bits >> self.n or self.z_bits >> self.n:
             raise ValueError("Pauli support exceeds qubit count")
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase in (1, -1)
 
     @classmethod
     def from_string(cls, text: str) -> "PauliOperator":
@@ -107,7 +101,7 @@ class PauliOperator:
             xb = (self.x_bits >> q) & 1
             zb = (self.z_bits >> q) & 1
             body.append("IXZY"[xb + 2 * zb])
-        return _PHASE_CHARS[self.phase] + "".join(body)
+        return ("-" if self.phase == -1 else "+") + "".join(body)
 
     def xz_phase_power(self) -> int:
         """Power e such that the operator equals phase * i^e * X^x Z^z."""
@@ -120,13 +114,13 @@ class PauliOperator:
 
 
 class Tableau:
-    """A Pauli frame: Hermitian Pauli rows conjugated by a Clifford word.
+    """A Pauli frame: Pauli rows conjugated by a Clifford word.
 
     Bits are packed by column: bit r of ``x[q]`` (of ``z[q]``) is the x (z)
     bit of qubit q in row r and bit r of ``sign`` is row r's sign, so a gate
     update is a few whole-column integer operations.  ``rows`` may be any
-    Hermitian Paulis; the default identity frame (X_q in row q, Z_q in row
-    n + q) becomes a word's tableau.  Used for validity checks, canonical keys,
+    Paulis; the default identity frame (X_q in row q, Z_q in row n + q)
+    becomes a word's tableau.  Used for validity checks, canonical keys,
     gate-word synthesis and Heisenberg-picture conjugation.
     """
 
@@ -139,8 +133,8 @@ class Tableau:
             self.z = [1 << (n + q) for q in range(n)]
             self.sign = 0
         else:
-            if any(not p.is_hermitian or p.n != n for p in rows):
-                raise ValueError("frame rows must be Hermitian Paulis on n qubits")
+            if any(p.n != n for p in rows):
+                raise ValueError("frame rows must be Paulis on n qubits")
             self.x = _transpose([p.x_bits for p in rows], n)
             self.z = _transpose([p.z_bits for p in rows], n)
             self.sign = sum(1 << r for r, p in enumerate(rows) if p.phase == -1)
@@ -246,12 +240,10 @@ class CliffordOp:
 
     def conjugate_paulis(self, paulis: Sequence[PauliOperator]) -> list:
         """[U^dag P U for P in paulis]: one frame with the Paulis as rows runs
-        through the inverse word, and a +-i phase rides along as a scalar."""
-        scalars = [1 if p.is_hermitian else 1j for p in paulis]
-        frame = Tableau(self.n, [replace(p, phase=p.phase / s) for p, s in zip(paulis, scalars)])
+        through the inverse word."""
+        frame = Tableau(self.n, paulis)
         frame.apply_word(self.word, inverse=True)
-        images = [frame.row_pauli(r) for r in range(len(paulis))]
-        return [replace(im, phase=im.phase * s) for im, s in zip(images, scalars)]
+        return [frame.row_pauli(r) for r in range(len(paulis))]
 
     def is_valid(self) -> bool:
         return self.tableau().is_symplectic()
@@ -542,13 +534,7 @@ class StabilizerState:
     def _conjugated_pauli(self, p: PauliOperator):
         """Return (a, b, mu) with U_H^† U_C^† P U_C U_H = i^mu X^a Z^b."""
         a = b = 0
-        mu = p.xz_phase_power()
-        if p.phase == -1:
-            mu += 2
-        elif p.phase == 1j:
-            mu += 1
-        elif p.phase == -1j:
-            mu += 3
+        mu = p.xz_phase_power() + (2 if p.phase == -1 else 0)
         # push through U_C row by row: U_C^† X_q U_C = i^gamma_q X^{F_q} Z^{M_q},
         # U_C^† Z_q U_C = Z^{G_q}
         for q in _ones(p.x_bits):
@@ -570,20 +556,14 @@ class StabilizerState:
         """
         if outcome not in (1, -1):
             raise ValueError("outcome must be +1 or -1")
-        if not p.is_hermitian:
-            raise ValueError("projection requires a Hermitian Pauli (phase +-1)")
         if p.n != self.n:
             raise ValueError("qubit counts differ")
         a, b, mu = self._conjugated_pauli(p)
         mu = (mu + 2 * (b & self.s).bit_count()) % 4
         if outcome == -1:
             mu = (mu + 2) % 4
-        if a == 0:
-            if mu % 2 != 0:
-                raise ValueError("inconsistent phase; Pauli is not Hermitian")
-            if mu == 0:
-                return 1.0
-            return None
+        if a == 0:  # i^mu Z^b is Hermitian like P, so mu is 0 or 2
+            return 1.0 if mu == 0 else None
         # The halved weight is reported through the returned factor; the
         # update keeps |omega| so the surviving state retains its norm.
         self._update_sum(self.s, self.s ^ a, delta=mu, alpha=0)
@@ -871,11 +851,8 @@ def random_clifford_word(t: int, length: int, rng) -> CliffordOp:
     return CliffordOp(n=t, word=tuple(word))
 
 
-def random_pauli(t: int, rng, hermitian: bool = True) -> PauliOperator:
+def random_pauli(t: int, rng) -> PauliOperator:
     """A uniformly random t-qubit Pauli with sign +-1."""
     x = int.from_bytes(rng.bytes((t + 7) // 8), "little") & ((1 << t) - 1)
     z = int.from_bytes(rng.bytes((t + 7) // 8), "little") & ((1 << t) - 1)
-    phase = -1 if rng.integers(2) else 1
-    if not hermitian:
-        phase *= 1j if rng.integers(2) else 1
-    return PauliOperator(t, x, z, phase)
+    return PauliOperator(t, x, z, -1 if rng.integers(2) else 1)

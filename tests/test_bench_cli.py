@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -170,6 +171,12 @@ class TestMaskTimingAndCostMap:
         assert lines[0].split(",")[:2] == ["t", "delta"]
         assert len(lines) == 5
 
+    def test_cost_map_header_is_cost_point_fields(self, tmp_path):
+        out = tmp_path / "map.csv"
+        bench.run_cost_map([4], [0.2], out=str(out))
+        header = out.read_text().splitlines()[0].split(",")
+        assert header == [f.name for f in dataclasses.fields(costmodel.CostPoint)]
+
     def test_cost_map_empty_grid(self, tmp_path):
         out = tmp_path / "empty.csv"
         bench.run_cost_map([], [], out=str(out))
@@ -179,7 +186,7 @@ class TestMaskTimingAndCostMap:
         # the asymptotic-law comparison is ~68x everywhere; the t at
         # which xi_1^t equals that ratio is ~27
         rows = bench.run_cost_map([27], [1e-4])
-        assert rows[0].asymptotic_ratio_vs_sota() == pytest.approx(68.3, abs=1.0)
+        assert rows[0].ratio_sota_over_asymptotic == pytest.approx(68.3, abs=1.0)
         assert rows[0].equivalent_magic_gates_removed() == pytest.approx(27, abs=1.0)
         # at fixed small t and delta -> 0 the supplement count round(10
         # delta xi) collapses to zero and the finite-t column shows no gain
@@ -287,14 +294,28 @@ class TestCliCommands:
         (["sparsify", "--t", "4", "--delta", "0.4", "--phi", "pi/0"], "pi/0"),
         (["estimate", "--decomp", "{decomp}", "--paulis", "ZZZ,+"], "ZZZ"),
         (["gen-masks", "--t", "0"], "t = 0"),
+        (["sparsify", "--t", "4", "--delta", "1.5"], "delta"),
+        (["cost", "--t", "10", "--delta", "1e-200"], "delta"),
+        (["cost", "--t", "200", "--delta", "1e-150"], "delta"),
+        (["sparsify", "--t", "8", "--delta", "1e-200", "--mode", "iid"], "delta"),
+        # k beyond the address space: numpy refuses the draw at once
+        (["sparsify", "--t", "200", "--mode", "theorem2", "--delta", "0.3"], "at t = 200"),
+        (["bench", "worst-case", "--t", "200", "--delta", "0.3", "--trials", "1",
+          "--cliffords", "1"], "at t = 200"),
+        (["estimate", "--decomp", "{dir}", "--paulis", "Z"], "directory"),
+        (["cost", "--t", "4", "--delta", "0.3", "--out", "{dir}"], "directory"),
+        (["gen-masks", "--t", "8", "--out", "{dir}"], "directory"),
     ], ids=["delta-zero", "phi-foo", "phi-pi-over-zero", "paulis-too-long",
-         "gen-masks-t-zero"])
+         "gen-masks-t-zero", "delta-above-one", "cost-delta-cube-underflows",
+         "cost-delta-cube-underflows-t200", "sparsify-delta-square-underflows",
+         "sparsify-k-undrawable", "worst-case-k-undrawable", "decomp-is-directory",
+         "cost-out-is-directory", "gen-masks-out-is-directory"])
     def test_rejected_values_exit_3(self, argv, needle, tmp_path, capsys):
         decomp_path = tmp_path / "d.json"
         cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",
                   "--out", str(decomp_path)])
         capsys.readouterr()
-        assert cli.main([a.format(decomp=decomp_path) for a in argv]) == 3
+        assert cli.main([a.format(decomp=decomp_path, dir=tmp_path) for a in argv]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
 

@@ -28,6 +28,14 @@ class TestClosedFormCounts:
             cm.k_sota(0.5, 0.1)
         with pytest.raises(ValueError):
             cm.k_iid_tight(2.0, 0.0)
+        # delta^3 underflows to zero (delta^2 does not)
+        for call in (lambda: cm.k_iid_quadratic(2.0, 1e-110), lambda: cm.optimal_beta(1e-110),
+                     lambda: cm.f_t_optimal(1e-110, 2.0), lambda: cm.regime(4, 1e-110, XI1)):
+            with pytest.raises(ValueError, match="underflows"):
+                call()
+        # the count itself overflows to inf
+        with pytest.raises(ValueError, match="finite"):
+            cm.k_iid_quadratic(1e300, 1e-10)
 
 
 class TestKTheorem1:

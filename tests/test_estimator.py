@@ -319,9 +319,8 @@ class TestPauliProb:
         assert est.value == pytest.approx(exact.value, abs=0.2)
 
     def test_non_hermitian_rejected(self):
-        m, d = full_decomposition(1)
         with pytest.raises(ValueError):
-            estimator.pauli_prob(d, None, [(sb.PauliOperator(1, 1, 0, 1j), 1)])
+            sb.PauliOperator(1, 1, 0, 1j)
 
     def test_clamping_flag(self):
         # a sparsified norm ratio can exceed 1; force it with a tiny
@@ -427,7 +426,7 @@ class TestHeisenbergPauliProb:
         for t in range(1, 5):
             for _ in range(10):
                 op = sb.random_clifford_word(t, 40, rng)
-                p = sb.random_pauli(t, rng, hermitian=False)
+                p = sb.random_pauli(t, rng)
                 (image,) = op.conjugate_paulis([p])
                 u = dense.clifford_unitary(op)
                 want = u.conj().T @ dense.pauli_matrix(p) @ u
@@ -440,8 +439,8 @@ class TestHeisenbergPauliProb:
         rng = np.random.default_rng(1000 + t)
         op = sb.random_clifford_word(t, gates, rng)
         tab = op.inverse().tableau()
-        paulis = [sb.random_pauli(t, rng, hermitian=bool(i % 2)) for i in range(12)]
-        paulis += [sb.PauliOperator(t, 0, 0, 1j), sb.PauliOperator(t, 0, 0, -1)]
+        paulis = [sb.random_pauli(t, rng) for _ in range(12)]
+        paulis += [sb.PauliOperator(t, 0, 0, -1)]
         images = op.conjugate_paulis(paulis)
         assert len(images) == len(paulis)
         for p, image in zip(paulis, images):

@@ -193,9 +193,8 @@ class TestProjection:
                 assert np.allclose(res[0].to_dense(), dres[0], atol=1e-9)
 
     def test_imaginary_phase_rejected(self):
-        p = sb.PauliOperator(1, 1, 0, 1j)
         with pytest.raises(ValueError):
-            sb.project_pauli(sb.zero_state(1), p, 1)
+            sb.PauliOperator(1, 1, 0, 1j)
 
     def test_completeness(self):
         rng = np.random.default_rng(23)
