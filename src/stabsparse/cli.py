@@ -6,8 +6,9 @@ Exit codes: 0 on success; 2 for an argparse usage error (a missing or
 unknown option, or a value of the wrong type); 3 for any value rejected
 after parsing (a bad angle, delta, t, Pauli chain or mask size, an empty
 range or step count, a bench trial, thread or gate count out of range, a
-term count too large to draw, or an input or output path that cannot be
-read, written or parsed), reported as one ``error:`` line.
+term count too large to draw, a decomposition value that is not finite,
+or an input or output path that cannot be read, written or parsed),
+reported as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -110,10 +111,9 @@ def cmd_sparsify(args) -> int:
             plan = bench.theorem1_plan(model, args.delta, mask_set)
         else:
             plan = bench.theorem2_plan(model, args.delta, mask_set)
-        f_t = plan.f_t if args.f_t is None else args.f_t
         k = plan.k_correlated if args.k is None else args.k
         decomp = magic.sample_correlated(
-            model, mask_set, f_t, k, rng,
+            model, mask_set, plan.f_t, k, rng,
             mode=magic.THEOREM1 if args.mode == "theorem1" else magic.THEOREM2,
         )
     if args.out:
@@ -211,7 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--mode", choices=["iid", "theorem1", "theorem2"], default="iid")
     p.add_argument("--k", type=int, default=None, help="override the term count")
-    p.add_argument("--f-t", dest="f_t", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sparsify)

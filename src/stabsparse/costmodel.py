@@ -37,10 +37,11 @@ EXACT_SIM = "EXACT"
 
 
 def _int_ceil(x: float) -> int:
-    """Ceiling with a few-ulp guard against float noise."""
+    """Ceiling that reads x within 2 ulps above an integer as float noise."""
     if not math.isfinite(x):
         raise ValueError(f"count {x!r} is not a finite number")
-    return int(math.ceil(x - 1e-12 * max(1.0, abs(x))))
+    n = math.floor(x)
+    return n if x - n <= 2 * math.ulp(x) else n + 1
 
 
 def _round_up_multiple(k: int, size: int) -> int:

@@ -22,6 +22,7 @@ gamma above 1 and lowers the number of terms needed for a target error.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 import warnings
@@ -162,13 +163,18 @@ class SparseDecomposition:
             t = int(data["t"])
             if t < 1:
                 raise ValueError(f"decomposition needs t >= 1, got t = {t}")
-            for x, _ in entries:
+            for x, phase in entries:
                 if x < 0 or x.bit_length() > t:
                     raise ValueError(f"bitstring {x:x} does not fit in t = {t} bits")
+                if not cmath.isfinite(phase):
+                    raise ValueError(f"phase {phase} of bitstring {x:x} is not finite")
+            prefactor = float(data["prefactor"])
+            if not math.isfinite(prefactor):
+                raise ValueError(f"prefactor {prefactor} is not finite")
             return cls(
                 t=t,
                 k=int(data["k"]),
-                prefactor=float(data["prefactor"]),
+                prefactor=prefactor,
                 entries=entries,
                 mode=data["mode"],
                 f_t=int(data.get("f_t", 0)),

@@ -6,9 +6,10 @@ y in F2^r (Dehaene-De Moor, quant-ph/0304125).  ``random_stabilizer_state``
 draws it uniformly without a Clifford circuit, and ``product_overlaps``
 gives its overlaps with the |0>/|+> product terms of a decomposition under
 a Pauli as exponential sums over Z4 forms (Bravyi-Gosset,
-arXiv:1601.07601): one O(t^2) form per state and Pauli, then one
-elimination per term, at any t: fastnorm's only sampler.  Bit q of an
-int is qubit q, as in ``stabilizer``.
+arXiv:1601.07601): one O(t^2) form per state and Pauli, with the
+Pauli's move of the support folded in once, then one elimination per
+term and no per-term shift, at any t: fastnorm's only sampler.  Bit q of
+an int is qubit q, as in ``stabilizer``.
 """
 
 from __future__ import annotations
@@ -178,17 +179,19 @@ def product_overlaps(
     """<phi_b| Z^z X^x |theta> for each label b, |phi_b> the product of |+>
     on b's set bits and |0> elsewhere.
 
-    X^x moves a0, and Z^z adds a sign and flips q's diagonal by
-    parity(z & R_j).  With y indexed by the pivot columns, a support point's
-    pivot bits are y itself, so a point inside b fixes y off b, and each
-    non-pivot column c outside b asks parity(y & column c) = (a0 ^ x)_c.
-    Each such check enters the sum as one more variable v_c, through
-    [check] = 1/2 sum_v (-1)^(v (y . column c + (a0 ^ x)_c)).  One Z4 form
-    over all t variables (pivots and checks) is built per call, and each
-    label restricts it to its free pivots and checks, shifting q by the
-    fixed pivots, and sums it with ``_z4_sum``: one O(t^2) form per state
-    and Pauli, then one elimination per label (Bravyi-Gosset,
-    arXiv:1601.07601).
+    X^x moves a0 to a = a0 ^ x, and Z^z adds a sign and flips q's diagonal
+    by parity(z & R_j).  Once per call, y = s ^ y' with s = a's pivot bits
+    adds s's rows to a, so that a is zero on the pivots: y' gains 2 in its
+    i-phase at l_n s_n = 1 and at parity(q's pairs of n & s) = 1, and the
+    sum one constant phase.  A support point's pivot bits are then y'
+    itself, so a point inside b fixes y' = 0 off b, and each non-pivot
+    column c outside b asks parity(y' & column c) = a_c.  Each such check
+    enters the sum as one more variable v_c, through
+    [check] = 1/2 sum_v (-1)^(v (y' . column c + a_c)).  One Z4 form over
+    all t variables (pivots and checks) is built per call, and each label
+    restricts it to its free pivots and checks and sums it with
+    ``_z4_sum``: one O(t^2) form per state and Pauli, then one elimination
+    per label (Bravyi-Gosset, arXiv:1601.07601).
     """
     t, rows = state.t, state.R
     piv = [row & -row for row in rows]
@@ -204,20 +207,27 @@ def product_overlaps(
         return out
 
     a = state.a0 ^ x
-    sign = (z & a).bit_count() & 1
+    sign, s = (z & a).bit_count() & 1, a & pivots
+    for p, row in zip(piv, rows):  # y = s ^ y': a gains s's rows
+        if p & s:
+            a ^= row
     lin, diag = cols(state.l), 0
-    upper, sym = {}, dict.fromkeys(piv, 0)  # q's pairs: above, both sides
-    # the form: a pivot n has L = l_n + 2 q_nn (after Z^z) and J = q's pairs
-    # and its row's check columns; a check c has L = 2 (a0 ^ x)_c and J =
-    # column c
+    # const: the phase i^const that y = s ^ y' leaves; sym: q's pairs, both sides
+    const, sym = (lin & s).bit_count(), dict.fromkeys(piv, 0)
+    # the form: a pivot n has L = l_n + 2 (q_nn (after Z^z) + l_n s_n +
+    # parity(sym_n & s)) and J = q's pairs and its row's check columns; a
+    # check c has L = 2 a_c and J = column c
     L0, J0 = [2 * ((a >> n) & 1) for n in range(t)], [0] * t
     for j, (p, row, qj) in enumerate(zip(piv, rows, state.Q)):
         n = p.bit_length() - 1
         if ((qj >> j) ^ (z & row).bit_count()) & 1:
             diag |= p
-        upper[p] = rest = cols(qj >> (j + 1) << (j + 1))
+        rest = cols(qj >> (j + 1) << (j + 1))
+        if p & s:
+            const += 2 * (rest & s).bit_count()
         sym[p] |= rest  # complete: the rows before j have added theirs
-        L0[n], J0[n] = ((lin >> n) & 1) + 2 * ((diag >> n) & 1), sym[p] | row ^ p
+        L0[n] = (lin >> n & 1) + 2 * ((diag ^ lin & s) >> n & 1) + 2 * (sym[p] & s).bit_count()
+        J0[n] = sym[p] | row ^ p
         while rest:
             bit = rest & -rest
             sym[bit] |= p
@@ -227,31 +237,12 @@ def product_overlaps(
             bit = rest & -rest
             J0[bit.bit_length() - 1] |= p
             rest ^= bit
-    row_of = dict(zip(piv, rows))
+    const += 2 * (diag & s).bit_count()
 
     out, others = [], ((1 << t) - 1) & ~pivots
     for b in labels:
-        free, y0, checks = pivots & b, a & pivots & ~b, others & ~b
-        L, J, const = L0[:], J0[:], 0
-        if y0:
-            # y = y0 + w with w over the free pivots, disjoint from y0: the
-            # i-phases add, q(y0 + w) = q(y0) + shift(y0) . w + q(w), and
-            # check c gains parity(y0 & column c) = (sum of y0's rows)_c
-            const = (lin & y0).bit_count() + 2 * (diag & y0).bit_count()
-            shift = moved = 0
-            rest = y0
-            while rest:
-                bit = rest & -rest
-                const += 2 * (upper[bit] & y0).bit_count()
-                shift ^= sym[bit]
-                moved ^= row_of[bit]
-                rest ^= bit
-            rest = shift & free | moved & checks
-            while rest:
-                bit = rest & -rest
-                L[bit.bit_length() - 1] += 2
-                rest ^= bit
-        summed = _z4_sum(L, J, free | checks)
+        free, checks = pivots & b, others & ~b
+        summed = _z4_sum(L0[:], J0[:], free | checks)
         if summed is None:
             out.append(0j)
             continue

@@ -468,8 +468,8 @@ class StabilizerState:
             vec[idx] = self.amplitude(idx)
         return vec
 
-    def _zeroing_word(self) -> list:
-        """Gate word mapping this state onto (scalar) * |0...0>.
+    def _zeroing_word(self) -> tuple:
+        """(scalar, word): a gate word mapping this state onto scalar * |0...0>.
 
         Sweeps G to the identity with left CX gates (F follows because
         of the CH-form constraint G = (F^-1)^T), clears M with diagonal
@@ -513,18 +513,16 @@ class StabilizerState:
             emit("H", q)
         for q in _ones(st.s):
             emit("X", q)
-        return ops
+        return st.omega, ops
 
     def inner_product(self, other: "StabilizerState") -> complex:
         """Exact <self|other> including both global scalars."""
         if self.n != other.n:
             raise ValueError("qubit counts differ")
-        ops = self._zeroing_word()
-        bra = self.copy()
-        bra._apply_word(ops)
+        scalar, ops = self._zeroing_word()
         ket = other.copy()
         ket._apply_word(ops)
-        return np.conjugate(bra.omega) * ket.amplitude(0)
+        return np.conjugate(scalar) * ket.amplitude(0)
 
     def sqnorm(self) -> float:
         return float(abs(self.omega) ** 2)

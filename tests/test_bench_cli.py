@@ -397,6 +397,10 @@ class TestCliCommands:
         with pytest.raises(SystemExit) as err:
             cli.main(["bench", "nonsense"])
         assert err.value.code == 2
+        with pytest.raises(SystemExit) as err:  # f_t comes from the plan only
+            cli.main(["sparsify", "--t", "8", "--delta", "0.4", "--mode", "theorem1",
+                      "--f-t", "3"])
+        assert err.value.code == 2
 
     def test_precondition_failure_exit_3(self, capsys):
         code = cli.main(["gen-masks", "--t", "7"])
@@ -414,18 +418,23 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "entries" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("t, x, needle", [
-        (4, "1f", "does not fit in t = 4 bits"),
-        (4, "-1", "does not fit in t = 4 bits"),
-        (4, "f" * 20, "does not fit in t = 4 bits"),
-        (0, "0", "t >= 1"),
-        (-3, "0", "t >= 1"),
-    ], ids=["bits-above-t", "negative-bits", "twenty-hex-digits", "t-zero", "t-negative"])
-    def test_estimate_malformed_decomposition_exit_3(self, t, x, needle, tmp_path, capsys):
+    @pytest.mark.parametrize("t, x, prefactor, phase, needle", [
+        (4, "1f", 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
+        (4, "-1", 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
+        (4, "f" * 20, 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
+        (0, "0", 1.0, [1.0, 0.0], "t >= 1"),
+        (-3, "0", 1.0, [1.0, 0.0], "t >= 1"),
+        # json writes these as NaN and Infinity, and json.load reads them back
+        (1, "0", float("nan"), [1.0, 0.0], "prefactor nan is not finite"),
+        (1, "0", 1.0, [float("inf"), 0.0], "phase (inf+0j) of bitstring 0 is not finite"),
+    ], ids=["bits-above-t", "negative-bits", "twenty-hex-digits", "t-zero", "t-negative",
+         "prefactor-nan", "phase-infinite"])
+    def test_estimate_malformed_decomposition_exit_3(self, t, x, prefactor, phase, needle,
+                                                     tmp_path, capsys):
         decomp_path = tmp_path / "d.json"
         decomp_path.write_text(json.dumps({
-            "t": t, "k": 1, "prefactor": 1.0, "mode": "IID",
-            "entries": [{"x": x, "phase": [1.0, 0.0]}],
+            "t": t, "k": 1, "prefactor": prefactor, "mode": "IID",
+            "entries": [{"x": x, "phase": phase}],
         }))
         paulis = "Z" * max(t, 1) + ",+"
         assert cli.main(["estimate", "--decomp", str(decomp_path), "--paulis", paulis]) == 3

@@ -18,6 +18,18 @@ class TestClosedFormCounts:
     def test_quadratic_baseline(self):
         assert cm.k_iid_quadratic(1.0, 1.0) == 1
 
+    @pytest.mark.parametrize("x, want", [
+        (2.0**60, 2**60),  # an integer-valued float is its own ceiling
+        (1e15 + 0.5, 10**15 + 1),
+        (100 + 1e-14, 100),  # one ulp above an integer is float noise
+    ])
+    def test_int_ceil(self, x, want):
+        assert cm._int_ceil(x) == want
+
+    def test_large_count_is_the_ceiling(self):
+        xi = magic.magic_model(math.pi / 4, 300).xi_t
+        assert cm.k_sota(xi, 0.3) == math.ceil(cm.SOTA_PREFACTOR * xi / 0.3)
+
     def test_tight_to_sota_ratio(self):
         xi, delta = 1.7e5, 1.3e-3
         ratio = cm.k_iid_tight(xi, delta) / cm.k_sota(xi, delta)

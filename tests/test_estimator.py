@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -481,6 +482,29 @@ class TestHeisenbergPauliProb:
         sem = values.std(ddof=1) / math.sqrt(len(values))
         assert abs(values.mean() - exact) <= 5 * sem
         assert time.perf_counter() - start < 30
+
+    def test_fastnorm_chain_steps_pinned(self):
+        # pins FASTNORM step values bit for bit over chains whose conjugated
+        # Paulis have X parts, so product_overlaps runs with x != 0
+        h = hashlib.sha256()
+        moved = 0
+        for t in (2, 5, 9, 16):
+            rng = np.random.default_rng(900 + t)
+            m = magic.magic_model(PI4, t)
+            for _ in range(3):
+                d = magic.sample_iid(m, 6, rng)
+                circuit = sb.random_clifford_word(t, 40, rng)
+                chain = [(sb.random_pauli(t, rng), 1), (sb.random_pauli(t, rng), -1)]
+                images = circuit.conjugate_paulis([p for p, _ in chain])
+                moved += sum(image.x_bits != 0 for image in images)
+                est = estimator.pauli_prob(
+                    d, circuit, chain, method=estimator.FASTNORM, fastnorm_samples=8, rng=rng
+                )
+                h.update(repr(est.step_values).encode())
+        assert moved >= 16
+        assert h.hexdigest() == (
+            "bd976ba71fcefdb51e5a061d762c16650a45f686d5c2da428c8848349b833199"
+        )
 
 
 class TestGramKernel:
