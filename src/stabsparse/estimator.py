@@ -2,11 +2,12 @@
 
 Every exact quantity comes from one closed-form Gram kernel over the
 |0>/|+> product terms, the values sum_ij conj(a_i) a_j <phi_i| P |phi_j>
-for a list of Paulis P, by popcounts on packed bits over the upper
-triangle in row tiles, summed as real 2 x 2 products of [Re a, Im a] with
-terms in canonical order (see ``_gram``); ``exact_sqnorm`` is its P = I
-case.  Monte-Carlo norm estimation (``fastnorm``) samples random
-stabilizer states instead, drawn directly by ``quadform`` with closed-form
+for a list of Paulis P, by popcounts on bits packed in the narrowest
+unsigned lane, over the upper triangle in row tiles that reuse one set of
+buffers, summed as real 2 x 2 products of [Re a, Im a] with terms in
+canonical order (see ``_gram``); ``exact_sqnorm`` is its P = I case.
+Monte-Carlo norm estimation (``fastnorm``) samples random stabilizer
+states instead, drawn directly by ``quadform`` with closed-form
 product-term overlaps, by one loop at every t.  Probability estimation
 works in the Heisenberg picture: one Pauli frame pushes the measured
 Paulis back through the Clifford circuit (``CliffordOp.conjugate_paulis``),
@@ -67,15 +68,18 @@ class ProbabilityEstimate:
     clamped: bool
 
 
-#: entries per row-tile Gram block: temporaries stay O(tile * k) and in cache
+#: entries per row-tile Gram block: the reused buffers stay O(tile * k) and in cache
 _TILE_ENTRIES = 1 << 18
 
 
 def _words(values: Sequence[int], t: int) -> np.ndarray:
-    """(len(values), ceil(t/64)) little-endian uint64 words of t-bit ints."""
-    width = (t + 63) // 64
-    data = b"".join(v.to_bytes(8 * width, "little") for v in values)
-    return np.frombuffer(data, dtype="<u8").reshape(len(values), width)
+    """(len(values), width) little-endian words of t-bit ints: t <= 64 in
+    one lane of the narrowest unsigned type (1, 2, 4 or 8 bytes), wider t
+    in ceil(t/64) uint64 words."""
+    size = 1 << max(0, (min(t, 64) - 1).bit_length() - 3)
+    width = -(-t // (8 * size))
+    data = b"".join(v.to_bytes(size * width, "little") for v in values)
+    return np.frombuffer(data, dtype=f"<u{size}").reshape(len(values), width)
 
 
 def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
@@ -93,41 +97,65 @@ def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
 def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
     """[sum_ij conj(a_i) a_j <phi_i| X^x Z^z |phi_j> for (x, z) in keys].
 
-    ``bits`` holds the |0>/|+> product labels as uint64 words (a set bit is
-    |+>), ``ri`` the amplitudes as rows r_b [Re a, Im a] from ``_terms``.
-    An entry of G_P is 0 if a qubit has x & ~a & ~b or z & a & b, else
+    ``bits`` holds the |0>/|+> product labels as ``_words`` lanes (a set bit
+    is |+>), ``ri`` the amplitudes as rows r_b [Re a, Im a] from ``_terms``.
+    An entry of G_P is 0 if a qubit has x & ~a & ~b or z & a & b, that is if
+    row a's mask x ^ ((x ^ z) & a) meets ~(a ^ b), else
     2^(-|a ^ b|/2) (-1)^|x & z & b| (live
     x & z qubits have one of a, b set).  With r_b = 2^((h - |b|)/2) in the
-    amplitudes, the overlap is an exact 2^(|a & b| - h) (h = 32 per word
-    keeps both in range): one tile per row tile serves all Paulis, each
-    adding its dead mask and column signs.  G_P^T = (-1)^|x & z| G_P, so row
-    tile I meets only columns lo: and an off-diagonal block's z adds its
-    mirror (-1)^|x & z| conj(z).  Blocks sum as the real 2 x 2
-    M = ri_I^T G ri_J, and a_I^dag G a_J = M00 + M11 + i(M01 - M10).
+    amplitudes, the overlap is an exact 2^(|a & b| - h) (h = 32 per lane or
+    64-bit word keeps both in range): one tile per row tile serves all
+    Paulis, each adding its dead mask and column signs.  G_P^T =
+    (-1)^|x & z| G_P, so row tile I meets only columns lo: and an
+    off-diagonal block's z adds its mirror (-1)^|x & z| conj(z).  Blocks sum
+    as the real 2 x 2 M = ri_I^T G ri_J, and a_I^dag G a_J = M00 + M11 +
+    i(M01 - M10).  Every tile writes into contiguous leading views of one
+    set of flat buffers, allocated for the first (largest) tile.
     """
     k, width = bits.shape
     if width > 16:
         raise ValueError("the Gram kernel's power-of-two scaling covers t <= 1024")
     h, keys = 32 * width, list(keys)
-    words = _words([x for x, _ in keys] + [z for _, z in keys], 64 * width)
-    xw, zw = words.reshape(2, len(keys), 1, 1, width)
+    p = len(keys)
+    words = _words([x for x, _ in keys] + [z for _, z in keys], 8 * bits.itemsize * width)
+    lane = (width,) if width > 1 else ()  # one lane needs no word axis
+    lanes = bits.reshape(k, *lane)
+    xs, zs = words.reshape(2, p, 1, *lane)
     sri = ri[None]  # (Paulis, k, 2) with each Pauli's column signs
     if any(x & z for x, z in keys):
-        odd = np.bitwise_count(bits & (xw & zw)[:, 0]).sum(axis=-1) & 1
+        odd = np.bitwise_count(lanes & (xs & zs))
+        odd = (odd if width == 1 else odd.sum(axis=-1)) & 1
         sri = np.where(odd[..., None], -ri, ri)
-    m = np.zeros((2, len(keys), 2, 2))  # diagonal and off-diagonal blocks
-    tile = max(1, _TILE_ENTRIES // max(k * len(keys), 1))
+    m = np.zeros((2, p, 2, 2))  # diagonal and off-diagonal blocks
+    tile = max(1, _TILE_ENTRIES // max(k * p, 1))
+    size = min(tile, k) * k
+    both_buf, cnt_buf = np.empty(size * width, bits.dtype), np.empty(size * width, np.uint8)
+    g_buf, sum_buf = np.empty(size), np.empty(size if width > 1 else 0, np.int32)
+    pauli = any(x or z for x, z in keys)
+    if pauli:
+        rows = (xs ^ ((xs ^ zs) & lanes))[:, :, None]  # x ^ ((x ^ z) & a) per row a
+        flip, dead_buf = ~lanes, np.empty(p * size * width, bits.dtype)
+        live_buf, gp_buf = np.empty(p * size, bool), np.empty(p * size)
     for lo in range(0, k, tile):
         hi = min(lo + tile, k)
-        a, b = bits[lo:hi, None, :], bits[None, lo:, :]
-        both = a & b
-        cnt = np.bitwise_count(both)
-        g = np.ldexp(2.0**-h, cnt[..., 0] if width == 1 else cnt.sum(axis=-1, dtype=np.int32))
-        if any(x or z for x, z in keys):
-            g = np.where((xw & ~(a | b)).any(axis=-1) | (zw & both).any(axis=-1), 0.0, g)
-        m[0] += ri[lo:hi].T @ (g[..., :hi - lo] @ sri[:, lo:hi])
+        n, e, shape = hi - lo, (hi - lo) * (k - lo), (hi - lo, k - lo, *lane)
+        a, b = lanes[lo:hi, None], lanes[None, lo:]
+        both = np.bitwise_and(a, b, out=both_buf[:e * width].reshape(shape))
+        cnt = np.bitwise_count(both, out=cnt_buf[:e * width].reshape(shape))
+        if width > 1:
+            cnt = cnt.sum(axis=-1, dtype=np.int32, out=sum_buf[:e].reshape(shape[:2]))
+        g = np.ldexp(2.0**-h, cnt, out=g_buf[:e].reshape(shape[:2]))
+        if pauli:
+            same = np.bitwise_xor(flip[lo:hi, None], b, out=both)  # ~(a ^ b); both is counted
+            dead = dead_buf[:p * e * width].reshape(p, *shape)
+            np.bitwise_and(rows[:, lo:hi], same, out=dead)
+            if width > 1:
+                dead = dead.any(axis=-1)
+            live = np.equal(dead, 0, out=live_buf[:p * e].reshape(p, *shape[:2]))
+            g = np.multiply(g, live, out=gp_buf[:p * e].reshape(p, *shape[:2]))
+        m[0] += ri[lo:hi].T @ (g[..., :n] @ sri[:, lo:hi])
         if hi < k:
-            m[1] += ri[lo:hi].T @ (g[..., hi - lo:] @ sri[:, hi:])
+            m[1] += ri[lo:hi].T @ (g[..., n:] @ sri[:, hi:])
     out = []
     for (x, z), (d0, d1), (o0, o1) in zip(keys, m[0].tolist(), m[1].tolist()):
         off = complex(o0[0] + o1[1], o0[1] - o1[0])

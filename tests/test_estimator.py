@@ -583,6 +583,71 @@ class TestGramKernel:
                 assert abs(value - want_one) <= 1e-12 * max(abs(want_one), abs(want))
         assert checked >= 5
 
+    def test_kernel_pinned(self, monkeypatch):
+        # pins exact_sqnorm and multi-Pauli _gram values bit for bit, recorded
+        # while labels sat in uint64 words and every tile allocated afresh: at
+        # every lane size (t = 5, 12, 32 and 48, 64 in one 1-, 2-, 4- or 8-byte
+        # lane), at two and three 64-bit words (t = 96, 130), in one row tile
+        # and in many tiles through reused buffers with a partial last tile
+        # (k = 23: 97 // 23 = 4 and 64 // 23 = 2 rows per tile)
+        h = hashlib.sha256()
+        live = 0
+        for tile_entries in (1 << 18, 97, 64):
+            monkeypatch.setattr(estimator, "_TILE_ENTRIES", tile_entries)
+            for t in (5, 12, 32, 48, 64, 96, 130):
+                rng = np.random.default_rng(1300 + t)
+                full = (1 << t) - 1
+                d = magic.sample_iid(magic.magic_model(PI4, t), 23, rng)
+                h.update(repr(estimator.exact_sqnorm(d).value).encode())
+                bits = [b for b, _ in d.entries]
+                keys = [(0, 0)]
+                for i in range(3):
+                    # X inside a pair's union and Z off its intersection keep
+                    # that pair alive; the three keys are x, z and x & z ones
+                    noise = int.from_bytes(rng.bytes(17), "little") & full
+                    x = (bits[i] | bits[i + 1]) & noise
+                    z = ~(bits[i] & bits[i + 1]) & full & ~noise
+                    keys += [(x, 0), (0, z), (x | z, z)]
+                values = estimator._gram(*estimator._terms(d, d.prefactor), keys)
+                live += sum(abs(v) > 1e-9 for v in values)
+                h.update(repr(values).encode())
+                h.update(repr(estimator._gram(*estimator._terms(d), keys[-2:])).encode())
+        assert live >= 100
+        assert h.hexdigest() == (
+            "467249a1f490f5f0c5fbd22d40377b389b6311f62f7c3e65126398a3d91aa87e"
+        )
+
+    def test_words_use_the_narrowest_lane(self):
+        rng = np.random.default_rng(1400)
+        cases = [(1, 1), (8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8),
+                 (65, 8), (96, 8), (1024, 8)]
+        for t, itemsize in cases:
+            values = [0, (1 << t) - 1, 1 << (t - 1)]
+            values += [int.from_bytes(rng.bytes(128), "little") >> (1024 - t) for _ in range(5)]
+            words = estimator._words(values, t)
+            assert words.dtype.kind == "u"
+            assert words.dtype.itemsize == itemsize
+            assert words.shape == (len(values), 1 if t <= 64 else -(-t // 64))
+            assert [int.from_bytes(row.tobytes(), "little") for row in words] == values
+
+    def test_memory_stays_bounded_at_large_k(self):
+        # one k x k float64 block at k = 4000 would be 122 MiB; the row-tile
+        # buffers keep the traced peak of a norm and of a 17-Pauli call under 8 MiB
+        import tracemalloc
+
+        rng = np.random.default_rng(1500)
+        d = magic.sample_iid(magic.magic_model(PI4, 32), 4000, rng)
+        terms = estimator._terms(d)
+        keys = [(int(rng.integers(1 << 32)), int(rng.integers(1 << 32))) for _ in range(17)]
+        for call in (lambda: estimator.exact_sqnorm(d), lambda: estimator._gram(*terms, keys)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 << 20
+
     def test_wider_than_1024_bits_rejected(self):
         d = magic.SparseDecomposition(
             t=1100, k=2, prefactor=1.0, entries=((0, 1.0), (1 << 1099, 1.0)), mode=magic.IID

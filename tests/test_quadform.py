@@ -230,8 +230,10 @@ class TestProductOverlaps:
 
     def test_overlaps_pinned(self):
         # pins every overlap bit for bit, recorded before the Z4 form was
-        # built once per call; a random x sets pivot bits, so the labels
-        # that leave a fixed pivot at 1 (y0 != 0) are covered
+        # built once per call.  A random x sets pivot bits s of a0 ^ x, and
+        # ``shifted`` counts the labels that miss some of s: off such a
+        # label the once-per-call move y = s ^ y' holds a pivot at 1, so
+        # the phases that move adds (the constant and the pivots' L) count
         h = hashlib.sha256()
         shifted = 0
         for t in (3, 8, 16, 40, 70):
