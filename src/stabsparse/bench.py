@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
 
@@ -90,6 +89,7 @@ def _run_grid(
         for ci, ti in specs:
             out[(ci, ti)] = worker(cells[ci], ci, ti, master_seed)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs load it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 pool.submit(worker, cells[ci], ci, ti, master_seed): (ci, ti)

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import dense
-from .magic import MagicModel, SparseDecomposition, dense_decomposition, dense_target
+from .magic import MagicModel, SparseDecomposition, dense_decomposition, dense_target, lane_bytes
 from .magic import to_states  # noqa: F401  (unused here; perfbench traces it at this name)
 from .quadform import product_overlaps, random_stabilizer_state
 from .stabilizer import (
@@ -74,12 +74,11 @@ _TILE_ENTRIES = 1 << 18
 
 def _words(values: Sequence[int], t: int) -> np.ndarray:
     """(len(values), width) little-endian words of t-bit ints: t <= 64 in
-    one lane of the narrowest unsigned type (1, 2, 4 or 8 bytes), wider t
-    in ceil(t/64) uint64 words."""
-    size = 1 << max(0, (min(t, 64) - 1).bit_length() - 3)
-    width = -(-t // (8 * size))
-    data = b"".join(v.to_bytes(size * width, "little") for v in values)
-    return np.frombuffer(data, dtype=f"<u{size}").reshape(len(values), width)
+    one ``lane_bytes`` lane, wider t in ceil(t/64) uint64 words."""
+    if t <= 64:
+        return np.array(values, dtype=f"<u{lane_bytes(t)}")[:, None]
+    data = b"".join(v.to_bytes(8 * -(-t // 64), "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(len(values), -(-t // 64))
 
 
 def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:

@@ -194,20 +194,37 @@ class SparseDecomposition:
             return cls.from_json(json.load(fh))
 
 
+def lane_bytes(t: int) -> int:
+    """Bytes (1, 2, 4 or 8) of the narrowest unsigned lane holding min(t, 64) bits."""
+    return 1 << max(0, (min(t, 64) - 1).bit_length() - 3)
+
+
 def _sample_entries(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
     """(seed ^ shift, u0^(t-w) u1^w) for m i.i.d. Bernoulli(p1) seeds and each
     shift, w the Hamming weight.  One ``rng.random((m, t))`` call draws the
     same stream as m calls of ``rng.random(t)``; bit q of seed i is draw (i, q).
+    At t <= 64 the seeds, shifts, weights and phases stay in the Gram kernel's
+    ``lane_bytes`` lanes, and Python objects are made once, as the entries.
     """
+    t = model.t
+    table = [model.u0 ** (t - w) * model.u1**w for w in range(t + 1)]
     try:
-        packed = np.packbits(rng.random((m, model.t)) < model.p1, axis=1, bitorder="little")
-    except (MemoryError, ValueError):  # numpy refuses the size at once
-        raise ValueError(f"cannot draw k = {m * len(shifts)} terms at t = {model.t}: "
+        packed = np.packbits(rng.random((m, t)) < model.p1, axis=1, bitorder="little")
+        if t > 64:
+            data, width = packed.tobytes(), packed.shape[1]
+            seeds = [int.from_bytes(data[i:i + width], "little")
+                     for i in range(0, len(data), width)]
+            return tuple((b, table[b.bit_count()]) for b in (s ^ d for s in seeds for d in shifts))
+        size = lane_bytes(t)
+        lanes = np.zeros((m, size), np.uint8)
+        lanes[:, :packed.shape[1]] = packed
+        seeds = lanes.view(f"<u{size}")
+        labels = (seeds ^ np.array(shifts, seeds.dtype)).ravel()
+        phases = np.array(table)[np.bitwise_count(labels)]
+    except (MemoryError, ValueError):  # numpy refuses an array's size
+        raise ValueError(f"cannot draw k = {m * len(shifts)} terms at t = {t}: "
                          "the draws do not fit in memory") from None
-    data, width = packed.tobytes(), packed.shape[1]
-    seeds = [int.from_bytes(data[i:i + width], "little") for i in range(0, len(data), width)]
-    table = [model.u0 ** (model.t - w) * model.u1**w for w in range(model.t + 1)]
-    return tuple((b, table[b.bit_count()]) for b in (s ^ d for s in seeds for d in shifts))
+    return tuple(zip(labels.tolist(), phases.tolist()))
 
 
 def sample_iid(model: MagicModel, k: int, rng) -> SparseDecomposition:

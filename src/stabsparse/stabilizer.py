@@ -203,8 +203,14 @@ class Tableau:
 
 
 def _transpose(vals: Sequence[int], width: int) -> list:
-    """Bit matrix transpose: bit i of out[b] is bit b of vals[i]."""
-    return [sum(((v >> b) & 1) << i for i, v in enumerate(vals)) for b in range(width)]
+    """Bit matrix transpose: bit i of out[b] is bit b < width of vals[i], set bits only."""
+    out = [0] * width
+    for i, v in enumerate(vals):
+        v &= (1 << width) - 1
+        while v:
+            out[(v & -v).bit_length() - 1] |= 1 << i
+            v &= v - 1
+    return out
 
 
 @dataclass(frozen=True)
@@ -243,7 +249,9 @@ class CliffordOp:
         through the inverse word."""
         frame = Tableau(self.n, paulis)
         frame.apply_word(self.word, inverse=True)
-        return [frame.row_pauli(r) for r in range(len(paulis))]
+        xs, zs = _transpose(frame.x, len(paulis)), _transpose(frame.z, len(paulis))
+        return [PauliOperator(self.n, x, z, -1 if (frame.sign >> r) & 1 else 1)
+                for r, (x, z) in enumerate(zip(xs, zs))]
 
     def is_valid(self) -> bool:
         return self.tableau().is_symplectic()

@@ -376,6 +376,19 @@ class TestCliCommands:
         assert proc.returncode == code, proc.stderr
         assert code == 0 or len(proc.stderr.strip().splitlines()) == 1
 
+    def test_import_loads_no_process_pool(self):
+        # only a pooled bench run (--threads > 1) imports the process machinery
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        probe = ("import sys, stabsparse.cli; print(sorted(m for m in sys.modules if m in "
+                 "('multiprocessing', 'concurrent.futures.process')))")
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     @pytest.mark.parametrize("t, code", [(1024, 0), (1025, 3)])
     def test_estimate_fastnorm_t_range(self, t, code, tmp_path, capsys):
         decomp_path = tmp_path / "d.json"

@@ -335,7 +335,10 @@ class TestSamplingStream:
     """The batched samplers reproduce the per-row loop entry for entry and
     leave the generator at the same position."""
 
-    @pytest.mark.parametrize("t", [1, 8, 32, 64, 96])
+    # packed widths 1..9 and 12, 17 bytes: every lane size, each lane
+    # partly and fully filled, and the Python-int path beyond one lane
+    @pytest.mark.parametrize("t", [1, 7, 8, 9, 17, 24, 31, 32, 33, 40, 48, 56, 63, 64, 65,
+                                   96, 130])
     def test_iid_matches_per_row_loop(self, t):
         m = magic.magic_model(PI4, t)
         for k in (1, 7, 50):
@@ -345,7 +348,7 @@ class TestSamplingStream:
             assert d.entries == want
             assert got_rng.random() == ref_rng.random()
 
-    @pytest.mark.parametrize("t", [8, 32, 64, 96])
+    @pytest.mark.parametrize("t", [8, 24, 32, 48, 64, 96])
     def test_correlated_matches_per_row_loop(self, t):
         m = magic.magic_model(PI4, t)
         mask_set = masks.generate_masks_even(t)
@@ -358,6 +361,19 @@ class TestSamplingStream:
             assert d.entries == want
             assert d.groups == tuple((g * (f_t + 1), f_t + 1) for g in range(groups))
             assert got_rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("step", ["bitwise_count", "zeros"])
+    def test_refused_lane_allocation_is_a_value_error(self, step, monkeypatch):
+        # the lanes, weights and phases are allocated after the draw succeeded;
+        # a refusal there gets the same message as a refused draw
+        def refuse(*args, **kwargs):
+            raise MemoryError("refused")
+
+        m, rng = magic.magic_model(PI4, 32), np.random.default_rng(1)
+        mask_set = masks.generate_masks_pow2(32)
+        monkeypatch.setattr(np, step, refuse)
+        with pytest.raises(ValueError, match=r"cannot draw k = 128 terms at t = 32"):
+            magic.sample_correlated(m, mask_set, 63, 100, rng)
 
     def test_off_pi4_phases(self):
         # p1 != 1/2 and u0 != u1 exercise both the threshold and the table

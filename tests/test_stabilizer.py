@@ -273,6 +273,25 @@ class TestPackedTableau:
                     img = u @ dense.pauli_matrix(base) @ u.conj().T
                     assert np.allclose(img, dense.pauli_matrix(tab.row_pauli(row)), atol=1e-10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 130).flatmap(lambda width: st.tuples(
+        st.just(width), st.lists(st.integers(0, 1 << (width + 3)), max_size=70))))
+    def test_transpose_matches_bitwise_formula(self, case):
+        # bits at or above width (here up to three of them) are ignored
+        width, vals = case
+        assert sb._transpose(vals, width) == [
+            sum(((v >> b) & 1) << i for i, v in enumerate(vals)) for b in range(width)]
+
+    def test_conjugate_paulis_matches_row_pauli(self):
+        rng = np.random.default_rng(127)
+        for n in (1, 3, 8, 70):
+            for rows in (1, 2, 5):
+                paulis = [sb.random_pauli(n, rng) for _ in range(rows)]
+                op = sb.random_clifford_word(n, 40, rng)
+                frame = sb.Tableau(n, paulis)
+                frame.apply_word(op.word, inverse=True)
+                assert op.conjugate_paulis(paulis) == [frame.row_pauli(r) for r in range(rows)]
+
     def test_synthesis_roundtrip_beyond_one_word(self):
         rng = np.random.default_rng(131)
         tab = sb.random_clifford_tableau(70, rng)
