@@ -137,14 +137,13 @@ def theorem1_plan(model: magic.MagicModel, delta: float, mask_set: masks.MaskSet
     loses its advantage at small t because k is rounded up to whole
     groups of f_t + 1.  This picks the largest f_t at or below the
     optimum whose group-rounded count still undercuts the i.i.d. count
-    by at least ceil(f_t / 2) states, falling back to the largest-saving
-    f_t when none achieves that margin.
+    by at least ceil(f_t / 2) states, falling back to f_t = 0: gamma = 1
+    and the i.i.d. count.
     """
     xi = model.xi_t
     k_iid = costmodel.k_theorem1(xi, delta, 1.0)
     f_cap = min(costmodel.f_t_optimal(delta, xi), len(mask_set))
-    best = (0, 1.0, k_iid)
-    for f in range(f_cap, -1, -1):
+    for f in range(f_cap, 0, -1):
         gamma = magic.gamma_bound(model, mask_set, f)
         if gamma >= xi:
             continue
@@ -152,20 +151,24 @@ def theorem1_plan(model: magic.MagicModel, delta: float, mask_set: masks.MaskSet
         k = math.ceil(k / (f + 1)) * (f + 1)
         if k_iid - k >= math.ceil(f / 2):
             return CorrelatedPlan(f, gamma, k, k_iid, mask_set)
-        if k < best[2]:
-            best = (f, gamma, k)
-    return CorrelatedPlan(best[0], best[1], best[2], k_iid, mask_set)
+    return CorrelatedPlan(0, 1.0, k_iid, k_iid, mask_set)
 
 
 def theorem2_plan(model: magic.MagicModel, delta: float, mask_set: masks.MaskSet) -> CorrelatedPlan:
-    """Supplement choice for the renormalized-ensemble count."""
+    """Supplement choice for the renormalized ensemble.
+
+    f_t is the optimum capped at the mask count.  k comes from the measured
+    distance law (``costmodel.k_distance_law``), not the paper's cubic: once
+    the cap binds (t >= 24) the cubic's k hardly moves with delta, and its
+    draws miss 1 - F <= delta, a lower bound on the trace distance.
+    """
     xi = model.xi_t
     f_t = min(costmodel.f_t_optimal(delta, xi), len(mask_set))
     gamma = magic.gamma_bound(model, mask_set, f_t)
     return CorrelatedPlan(
         f_t=f_t,
         gamma=gamma,
-        k_correlated=costmodel.k_correlated(xi, delta, f_t),
+        k_correlated=costmodel.k_distance_law(xi, delta, gamma, f_t),
         k_iid=costmodel.k_sota(xi, delta),
         mask_set=mask_set,
     )

@@ -6,7 +6,8 @@ Exit codes: 0 on success; 2 for an argparse usage error (a missing or
 unknown option, or a value of the wrong type); 3 for any value rejected
 after parsing (a bad angle, delta, t, Pauli chain or mask size, an empty
 range or step count, a bench trial, thread or gate count out of range, a
-term count too large to draw, a decomposition value that is not finite,
+term count too large to draw, a decomposition with no terms, a prefactor
+that is not finite and positive or a phase that is not a finite unit phase,
 or an input or output path that cannot be read, written or parsed),
 reported as one ``error:`` line.
 """

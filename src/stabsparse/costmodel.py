@@ -74,6 +74,14 @@ def k_theorem1(xi: float, delta: float, gamma: float) -> int:
     return _int_ceil((xi - gamma) / delta**2)
 
 
+def k_distance_law(xi: float, delta: float, gamma: float, f_t: int) -> int:
+    """Smallest whole number (at least one) of groups of f_t + 1 terms at or
+    above (xi - gamma)(1 - delta)/delta: the k at which the measured law
+    1 - F = eps/(1 + eps), eps = (xi - gamma)/k, reaches delta."""
+    _check(xi, delta)
+    return _round_up_multiple(max(1, _int_ceil((xi - gamma) * (1.0 - delta) / delta)), f_t + 1)
+
+
 def _check(xi: float, delta: float) -> None:
     if xi < 1.0:
         raise ValueError("extent must be at least 1")

@@ -1,8 +1,17 @@
 """Dense statevector oracle for small qubit counts.
 
 Everything here scales as 2^n and exists to cross-check the stabilizer
-formalism and the sparsified estimators.  Index convention matches the
-rest of the package: bit q of the array index is qubit q.
+formalism and the sparsified estimators.  Every operator acts by one rule
+on the rows of a vector or matrix: row m holds basis state |m>, bit q of m
+is qubit q, and b = 2^q for the gate's target qubit q.
+
+- X, CX and a Pauli's X part gather rows by XOR: row m takes row m ^ b
+  (for CX, where the control bit of m is set).
+- S, Sdg, Z, CZ and a Pauli's Z part weight each row by its bits.
+- H sets row m to (row m & ~b + (-1)^(m_q) row m | b) / sqrt 2.
+
+``clifford_unitary`` and ``pauli_matrix`` are that rule applied to the
+identity.
 """
 
 from __future__ import annotations
@@ -14,17 +23,9 @@ from .stabilizer import CliffordOp, PauliOperator
 VECTOR_CAP = 12
 DENSITY_CAP = 10
 
-_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_Z = np.diag([1, -1]).astype(np.complex128)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-
-PAULI_MATRICES = {"I": np.eye(2, dtype=np.complex128), "X": _X, "Y": _Y, "Z": _Z}
-
-
-def zero_vector(n: int) -> np.ndarray:
-    vec = np.zeros(1 << n, dtype=np.complex128)
-    vec[0] = 1.0
-    return vec
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+#: the weight of the rows whose target (and control) bits are set
+_WEIGHTS = {"S": 1j, "Sdg": -1j, "Z": -1.0, "CZ": -1.0}
 
 
 def product_vector(selectors) -> np.ndarray:
@@ -41,100 +42,44 @@ def product_vector(selectors) -> np.ndarray:
     return vec
 
 
-def apply_one_qubit(vec: np.ndarray, mat: np.ndarray, q: int, n: int) -> np.ndarray:
-    work = vec.reshape([2] * n)
-    axis = n - 1 - q  # C order: last axis is qubit 0
-    work = np.moveaxis(work, axis, 0)
-    work = np.tensordot(mat, work, axes=(1, 0))
-    work = np.moveaxis(work, 0, axis)
-    return work.reshape(-1)
-
-
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_index_cache: dict = {}
-
-
-def _bit_indices(n: int, q: int):
-    """(indices with bit q clear, same + 2^q), cached per (n, q)."""
-    key = (n, q)
-    hit = _index_cache.get(key)
-    if hit is None:
-        idx = np.arange(1 << n)
-        lo = idx[(idx >> q) & 1 == 0]
-        hit = (lo, lo + (1 << q))
-        _index_cache[key] = hit
-    return hit
-
-
-def apply_gate(vec: np.ndarray, name: str, qubits, n: int) -> np.ndarray:
-    """In-place-style fast application of the package gate set."""
-    out = vec.copy()
+def _gate(rows: np.ndarray, m: np.ndarray, bits: np.ndarray, name: str, qubits) -> np.ndarray:
+    """rows after one gate; m is the row index array and bits[:, q] bit q of m."""
+    q = qubits[-1]
+    ctrl = bits[:, qubits[0]] if len(qubits) == 2 else True
     if name == "H":
-        lo, hi = _bit_indices(n, qubits[0])
-        a, b = out[lo], out[hi]
-        out[lo] = (a + b) * _INV_SQRT2
-        out[hi] = (a - b) * _INV_SQRT2
-    elif name == "S":
-        _, hi = _bit_indices(n, qubits[0])
-        out[hi] *= 1j
-    elif name == "Sdg":
-        _, hi = _bit_indices(n, qubits[0])
-        out[hi] *= -1j
-    elif name == "X":
-        lo, hi = _bit_indices(n, qubits[0])
-        out[lo], out[hi] = vec[hi], vec[lo]
-    elif name == "Z":
-        _, hi = _bit_indices(n, qubits[0])
-        out[hi] *= -1.0
-    elif name == "CX":
-        c, t = qubits
-        lo, hi = _bit_indices(n, t)
-        ctrl = (lo >> c) & 1 == 1
-        out[lo[ctrl]], out[hi[ctrl]] = vec[hi[ctrl]], vec[lo[ctrl]]
-    elif name == "CZ":
-        c, t = qubits
-        _, hi = _bit_indices(n, t)
-        out[hi[(hi >> c) & 1 == 1]] *= -1.0
-    else:
-        raise ValueError(f"unknown gate {name!r}")
+        partner = rows[m ^ (1 << q)]
+        return np.where(bits[:, q, None], partner - rows, rows + partner) * _INV_SQRT2
+    if name in ("X", "CX"):
+        return rows[m ^ np.where(ctrl, 1 << q, 0)]
+    out = rows.copy()
+    out[ctrl & bits[:, q]] *= _WEIGHTS[name]
     return out
 
 
 def apply_clifford_dense(vec: np.ndarray, op: CliffordOp) -> np.ndarray:
-    out = vec
+    m = np.arange(1 << op.n)
+    bits = (m[:, None] >> np.arange(op.n)) & 1 == 1
+    rows = vec.reshape(len(m), -1)
     for name, qubits in op.word:
-        out = apply_gate(out, name, qubits, op.n)
-    return out
+        rows = _gate(rows, m, bits, name, qubits)
+    return rows.reshape(vec.shape)
 
 
 def clifford_unitary(op: CliffordOp) -> np.ndarray:
-    dim = 1 << op.n
-    cols = []
-    for b in range(dim):
-        e = np.zeros(dim, dtype=np.complex128)
-        e[b] = 1.0
-        cols.append(apply_clifford_dense(e, op))
-    return np.stack(cols, axis=1)
-
-
-def pauli_matrix(p: PauliOperator) -> np.ndarray:
-    mat = np.array([[p.phase]], dtype=np.complex128)
-    for q in reversed(range(p.n)):
-        xb = (p.x_bits >> q) & 1
-        zb = (p.z_bits >> q) & 1
-        sigma = PAULI_MATRICES["IXZY"[xb + 2 * zb]]
-        mat = np.kron(mat, sigma)
-    return mat
+    return apply_clifford_dense(np.eye(1 << op.n, dtype=np.complex128), op)
 
 
 def pauli_apply(vec: np.ndarray, p: PauliOperator, n: int) -> np.ndarray:
-    out = vec.astype(np.complex128) * p.phase
-    for q in range(n):
-        xb = (p.x_bits >> q) & 1
-        zb = (p.z_bits >> q) & 1
-        if xb or zb:
-            out = apply_one_qubit(out, PAULI_MATRICES["IXZY"[xb + 2 * zb]], q, n)
-    return out
+    """P vec, with P = phase i^(#Y) X^x Z^z: row m takes row m ^ x, weighted."""
+    m = np.arange(1 << n)
+    rows = np.asarray(vec, dtype=np.complex128).reshape(len(m), -1)
+    odd = np.bitwise_count((m ^ p.x_bits) & p.z_bits) & 1 == 1
+    weight = p.phase * 1j ** (p.x_bits & p.z_bits).bit_count() * np.where(odd, -1.0, 1.0)
+    return (weight[:, None] * rows[m ^ p.x_bits]).reshape(np.shape(vec))
+
+
+def pauli_matrix(p: PauliOperator) -> np.ndarray:
+    return pauli_apply(np.eye(1 << p.n), p, p.n)
 
 
 def projector_factor(vec: np.ndarray, p: PauliOperator, outcome: int, n: int):

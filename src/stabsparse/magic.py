@@ -76,10 +76,6 @@ class MagicModel:
     p1: float
 
     @property
-    def xi_1(self) -> float:
-        return (self.c0_mag + self.c1_mag) ** 2
-
-    @property
     def psi_1(self) -> tuple:
         """One-qubit factor (<0|Psi_1>, <1|Psi_1>) = (c0 + c1/sqrt2, c1/sqrt2)."""
         c1 = self.c1_mag * self.u1 / math.sqrt(2.0)
@@ -163,17 +159,22 @@ class SparseDecomposition:
             t = int(data["t"])
             if t < 1:
                 raise ValueError(f"decomposition needs t >= 1, got t = {t}")
+            k = int(data["k"])
+            if k < 1:
+                raise ValueError(f"decomposition needs k >= 1 entries, got k = {k}")
             for x, phase in entries:
                 if x < 0 or x.bit_length() > t:
                     raise ValueError(f"bitstring {x:x} does not fit in t = {t} bits")
                 if not cmath.isfinite(phase):
                     raise ValueError(f"phase {phase} of bitstring {x:x} is not finite")
+                if abs(abs(phase) - 1.0) > 1e-9:
+                    raise ValueError(f"phase {phase} of bitstring {x:x} is not a unit phase")
             prefactor = float(data["prefactor"])
-            if not math.isfinite(prefactor):
-                raise ValueError(f"prefactor {prefactor} is not finite")
+            if not (math.isfinite(prefactor) and prefactor > 0.0):
+                raise ValueError(f"prefactor {prefactor} is not finite and positive")
             return cls(
                 t=t,
-                k=int(data["k"]),
+                k=k,
                 prefactor=prefactor,
                 entries=entries,
                 mode=data["mode"],

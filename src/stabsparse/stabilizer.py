@@ -253,9 +253,6 @@ class CliffordOp:
         return [PauliOperator(self.n, x, z, -1 if (frame.sign >> r) & 1 else 1)
                 for r, (x, z) in enumerate(zip(xs, zs))]
 
-    def is_valid(self) -> bool:
-        return self.tableau().is_symplectic()
-
     def inverse(self) -> "CliffordOp":
         return CliffordOp(n=self.n, word=_inverse_word(self.word))
 
@@ -289,7 +286,7 @@ class StabilizerState:
     Row r of G, F and M is one Python int whose bit c is the matrix entry
     (r, c); ``v`` and ``s`` are ints with bit q for qubit q and ``gamma``
     is a list of ints mod 4.  Public module-level functions
-    (:func:`zero_state`, :func:`apply_clifford`, :func:`inner_product`,
+    (:func:`apply_clifford`, :func:`inner_product`,
     ...) treat states as immutable values; the ``_apply_*`` methods mutate
     in place and are internal.
     """
@@ -598,13 +595,6 @@ def _h_decompose(v: bool, y: bool, z: bool, delta: int):
 
 ZERO = 0
 PLUS = 1
-
-
-def zero_state(t: int) -> StabilizerState:
-    """The all-zeros state |0^t> with global scalar 1."""
-    if t < 1:
-        raise ValueError("qubit count must be at least 1")
-    return StabilizerState(t)
 
 
 def product_state(selectors: Sequence[int]) -> StabilizerState:

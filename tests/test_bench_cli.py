@@ -26,7 +26,23 @@ class TestPlans:
         model = magic.magic_model(math.pi / 4, 8)
         plan = bench.theorem2_plan(model, 0.2, masks.generate_masks_pow2(8))
         assert plan.f_t == 7
-        assert plan.k_correlated == costmodel.k_correlated(model.xi_t, 0.2, 7)
+        assert plan.k_correlated == costmodel.k_distance_law(model.xi_t, 0.2, plan.gamma, 7) == 8
+
+    @pytest.mark.parametrize("t", [16, 24, 32])
+    @pytest.mark.parametrize("delta", [0.3, 0.2])
+    def test_theorem2_plan_meets_delta(self, t, delta):
+        # the mean of 1 - |<Psi|psi>|^2 / ||psi||^2 over draws is a lower bound
+        # on the trace distance; the cubic's k missed delta from t = 24 on
+        model = magic.magic_model(math.pi / 4, t)
+        plan = bench.theorem2_plan(model, delta, bench.default_masks(t, 2 * t - 1))
+        rng = np.random.default_rng(t)
+        fidelity = []
+        for _ in range(100):
+            d = magic.sample_correlated(model, plan.mask_set, plan.f_t, plan.k_correlated,
+                                        rng, mode=magic.THEOREM2)
+            fidelity.append(abs(estimator.target_overlap(d, model)) ** 2
+                            / estimator.exact_sqnorm(d).value)
+        assert 1 - np.mean(fidelity) <= delta
 
     def test_default_masks_odd_t_rejected(self):
         with pytest.raises(ValueError):
@@ -281,6 +297,13 @@ class TestCliCommands:
         assert "exponent" not in capsys.readouterr().out
         assert len(out.read_text().strip().splitlines()) == 2
 
+    def test_bench_summaries_printed(self, capsys):
+        assert cli.main(["bench", "worst-case", "--t", "4", "--delta", "0.4", "--trials", "2",
+                         "--cliffords", "5"]) == 0
+        assert capsys.readouterr().out.startswith("(4, 0.4) {'trials': 2, ")
+        assert cli.main(["bench", "mask-timing", "--t", "4,8"]) == 0
+        assert "fitted per-mask exponent" in capsys.readouterr().out
+
     @pytest.mark.parametrize("mode", ["iid", "theorem1", "theorem2"])
     def test_sparsify_k_zero_exit_3(self, mode, capsys):
         code = cli.main(["sparsify", "--t", "8", "--delta", "0.4",
@@ -305,11 +328,12 @@ class TestCliCommands:
         (["estimate", "--decomp", "{dir}", "--paulis", "Z"], "directory"),
         (["cost", "--t", "4", "--delta", "0.3", "--out", "{dir}"], "directory"),
         (["gen-masks", "--t", "8", "--out", "{dir}"], "directory"),
+        (["estimate", "--decomp", "{decomp}", "--paulis", "ZZ,x"], "'+' or '-', got 'x'"),
     ], ids=["delta-zero", "phi-foo", "phi-pi-over-zero", "paulis-too-long",
          "gen-masks-t-zero", "delta-above-one", "cost-delta-cube-underflows",
          "cost-delta-cube-underflows-t200", "sparsify-delta-square-underflows",
          "sparsify-k-undrawable", "worst-case-k-undrawable", "decomp-is-directory",
-         "cost-out-is-directory", "gen-masks-out-is-directory"])
+         "cost-out-is-directory", "gen-masks-out-is-directory", "paulis-outcome-not-a-sign"])
     def test_rejected_values_exit_3(self, argv, needle, tmp_path, capsys):
         decomp_path = tmp_path / "d.json"
         cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",
@@ -431,23 +455,28 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "entries" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("t, x, prefactor, phase, needle", [
-        (4, "1f", 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
-        (4, "-1", 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
-        (4, "f" * 20, 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
-        (0, "0", 1.0, [1.0, 0.0], "t >= 1"),
-        (-3, "0", 1.0, [1.0, 0.0], "t >= 1"),
+    @pytest.mark.parametrize("t, k, x, prefactor, phase, needle", [
+        (4, 1, "1f", 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
+        (4, 1, "-1", 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
+        (4, 1, "f" * 20, 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
+        (0, 1, "0", 1.0, [1.0, 0.0], "t >= 1"),
+        (-3, 1, "0", 1.0, [1.0, 0.0], "t >= 1"),
         # json writes these as NaN and Infinity, and json.load reads them back
-        (1, "0", float("nan"), [1.0, 0.0], "prefactor nan is not finite"),
-        (1, "0", 1.0, [float("inf"), 0.0], "phase (inf+0j) of bitstring 0 is not finite"),
+        (1, 1, "0", float("nan"), [1.0, 0.0], "prefactor nan is not finite"),
+        (1, 1, "0", 1.0, [float("inf"), 0.0], "phase (inf+0j) of bitstring 0 is not finite"),
+        # each of these used to read probability 0.0 and exit 0
+        (1, 0, "0", 1.0, [1.0, 0.0], "k >= 1 entries, got k = 0"),
+        (1, 1, "0", 0.0, [1.0, 0.0], "prefactor 0.0 is not finite and positive"),
+        (1, 1, "0", 1.0, [1e200, 1e200], "is not a unit phase"),
     ], ids=["bits-above-t", "negative-bits", "twenty-hex-digits", "t-zero", "t-negative",
-         "prefactor-nan", "phase-infinite"])
-    def test_estimate_malformed_decomposition_exit_3(self, t, x, prefactor, phase, needle,
+         "prefactor-nan", "phase-infinite", "k-zero-no-entries", "prefactor-zero",
+         "phase-not-unit"])
+    def test_estimate_malformed_decomposition_exit_3(self, t, k, x, prefactor, phase, needle,
                                                      tmp_path, capsys):
         decomp_path = tmp_path / "d.json"
         decomp_path.write_text(json.dumps({
-            "t": t, "k": 1, "prefactor": prefactor, "mode": "IID",
-            "entries": [{"x": x, "phase": phase}],
+            "t": t, "k": k, "prefactor": prefactor, "mode": "IID",
+            "entries": [{"x": x, "phase": phase}] * k,
         }))
         paulis = "Z" * max(t, 1) + ",+"
         assert cli.main(["estimate", "--decomp", str(decomp_path), "--paulis", paulis]) == 3

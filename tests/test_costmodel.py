@@ -119,20 +119,21 @@ class TestKCorrelated:
 
     def test_exact_minimum_beyond_float_integers(self):
         # above 2^53 neighbouring integers share a float; the count is still
-        # the smallest group multiple at which the cubic, in rationals, is >= 0
-        for t in (200, 250, 300):
-            for delta in (0.3, 0.01, 0.001):
-                xi = XI1**t
-                f_t = cm.f_t_optimal(delta, xi)
-                k = cm.k_correlated(xi, delta, f_t)
-                x, d = Fraction(xi), Fraction(delta)
+        # the smallest group multiple at which the cubic, in rationals, is >= 0;
+        # at (197, 0.9) the float root sits below it and the bracket steps up
+        cases = [(t, delta) for t in (200, 250, 300) for delta in (0.3, 0.01, 0.001)]
+        for t, delta in cases + [(197, 0.9)]:
+            xi = XI1**t
+            f_t = cm.f_t_optimal(delta, xi)
+            k = cm.k_correlated(xi, delta, f_t)
+            x, d = Fraction(xi), Fraction(delta)
 
-                def p(k):
-                    return d * d * k**3 + 4 * f_t * k**2 - (2 * x * x + f_t**2) * k - f_t**3
+            def p(k):
+                return d * d * k**3 + 4 * f_t * k**2 - (2 * x * x + f_t**2) * k - f_t**3
 
-                assert k % (f_t + 1) == 0
-                assert p(k) >= 0
-                assert k <= f_t + 1 or p(k - (f_t + 1)) < 0
+            assert k % (f_t + 1) == 0
+            assert p(k) >= 0
+            assert k <= f_t + 1 or p(k - (f_t + 1)) < 0
 
     def test_monotone_in_f(self):
         # the continuous root decreases with the supplement count up to
@@ -176,6 +177,12 @@ class TestRegime:
         assert point.flags.exact_fewer_states
         assert point.flags.strong_fewer_states
         assert point.cheapest == cm.EXACT_SIM
+
+    def test_strong_between_weak_and_exact(self):
+        # at t = 91 the cheapest regime turns from strong to exact near delta = 4e-6
+        assert cm.regime(91, 4.1e-6, XI1).cheapest == cm.STRONG
+        assert cm.regime(91, 4.0e-6, XI1).cheapest == cm.EXACT_SIM
+        assert cm.regime(91, 3.9e-6, XI1).cheapest == cm.EXACT_SIM
 
     def test_flags_at_large_delta(self):
         point = cm.regime(40, 1.0, XI1)

@@ -88,7 +88,7 @@ class TestSampler:
         assert len(counts) == 60
         assert chi_square(list(counts.values()), [1 / 60] * 60, draws) <= 98.32
         orbit = {
-            state_key(sb.apply_clifford(sb.zero_state(2), sb.random_clifford(2, rng)).to_dense())
+            state_key(sb.apply_clifford(sb.StabilizerState(2), sb.random_clifford(2, rng)).to_dense())
             for _ in range(3000)
         }
         assert orbit == set(counts)
