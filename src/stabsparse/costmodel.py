@@ -104,8 +104,10 @@ def optimal_beta(delta: float) -> float:
 
 def f_t_optimal(delta: float, xi: float) -> int:
     """Supplements per seed at the optimal beta: round(10 delta xi)."""
-    _check_delta(delta)
-    return int(round(optimal_beta(delta) * xi / delta))
+    f = optimal_beta(delta) * xi / delta
+    if not math.isfinite(f):
+        raise ValueError(f"count {f!r} is not a finite number")
+    return int(round(f))
 
 
 def _cubic(xi: float, delta: float, f_t: float):

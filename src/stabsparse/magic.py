@@ -91,7 +91,12 @@ def magic_model(phi: float, t: int) -> MagicModel:
     c0_mag, c1_mag = abs(c0), abs(c1)
     u0 = c0 / c0_mag if c0_mag > 0 else 1.0 + 0j
     u1 = c1 / c1_mag if c1_mag > 0 else 1.0 + 0j
-    l1 = (c0_mag + c1_mag) ** t
+    try:
+        l1 = (c0_mag + c1_mag) ** t
+    except OverflowError:
+        l1 = math.inf
+    if not math.isfinite(l1 * l1):
+        raise ValueError(f"the extent xi_t overflows a float at t = {t}")
     return MagicModel(
         phi=phi,
         t=t,

@@ -8,10 +8,11 @@ described by binary matrices G, F, M and a phase vector gamma (mod 4),
 computational basis string, and ``omega`` is an explicit complex global
 scalar.  Unlike a plain tableau, this form supports exact amplitudes and
 exact inner products (including global phase) at cost O(n^3).  Each row
-of G, F and M is one Python int, as are v and s, so a gate update is a few
-row XORs and a parity is one ``int.bit_count()``.  Clifford words act on
-Paulis through :class:`Tableau`, which packs each qubit's x bits, z bits
-and all row signs into Python ints (Stim-style, arXiv:2103.02202).
+of G, F and M is one Python int, as are v and s, so a gate of the one gate
+loop (``StabilizerState._apply_word``) is a few row XORs and a parity is
+one ``int.bit_count()``.  Clifford words act on Paulis through
+:class:`Tableau`, which packs each qubit's x bits, z bits and all row
+signs into Python ints (Stim-style, arXiv:2103.02202).
 
 Conventions: qubit q corresponds to bit q of an integer basis label
 (little endian).  A basis string ``"011"`` puts qubit 0 in |0> and qubits
@@ -236,9 +237,6 @@ class CliffordOp:
                    or not 0 <= q < self.n for q in qubits):
                 raise ValueError(f"gate qubits {list(qubits)} must be integers in [0, {self.n})")
 
-    def __len__(self) -> int:
-        return len(self.word)
-
     def tableau(self) -> Tableau:
         t = Tableau(self.n)
         t.apply_word(self.word)
@@ -287,8 +285,8 @@ class StabilizerState:
     (r, c); ``v`` and ``s`` are ints with bit q for qubit q and ``gamma``
     is a list of ints mod 4.  Public module-level functions
     (:func:`apply_clifford`, :func:`inner_product`,
-    ...) treat states as immutable values; the ``_apply_*`` methods mutate
-    in place and are internal.
+    ...) treat states as immutable values; ``_apply_word`` and
+    ``_update_sum`` mutate in place and are internal.
     """
 
     __slots__ = ("n", "G", "F", "M", "gamma", "v", "s", "omega")
@@ -310,9 +308,6 @@ class StabilizerState:
         st.n, st.v, st.s, st.omega = self.n, self.v, self.s, self.omega
         st.G, st.F, st.M, st.gamma = list(self.G), list(self.F), list(self.M), list(self.gamma)
         return st
-
-    def __repr__(self) -> str:
-        return f"StabilizerState(n={self.n}, omega={self.omega:.6g})"
 
     # -- superposition update (Proposition 4 of arXiv:1808.00128) -----------
 
@@ -381,68 +376,44 @@ class StabilizerState:
 
     # -- left multiplications (gates acting on the state) --------------------
 
-    def _apply_s(self, q: int) -> None:
-        self.M[q] ^= self.G[q]
-        self.gamma[q] = (self.gamma[q] - 1) % 4
-
-    def _apply_sdg(self, q: int) -> None:
-        self.M[q] ^= self.G[q]
-        self.gamma[q] = (self.gamma[q] + 1) % 4
-
-    def _apply_z(self, q: int) -> None:
-        self.gamma[q] = (self.gamma[q] + 2) % 4
-
-    def _x_image(self, q: int):
-        """(u, beta) with X_q U_C U_H |s> = i^gamma_q (-1)^beta U_C U_H |u>."""
-        f, m, v, s = self.F[q], self.M[q], self.v, self.s
-        u = s ^ (f & ~v) ^ (m & v)
-        beta = ((m & ~v & s).bit_count() + (f & v & m).bit_count() + (f & v & s).bit_count()) & 1
-        return u, beta
-
-    def _apply_x(self, q: int) -> None:
-        u, beta = self._x_image(q)
-        self.omega *= (1j ** self.gamma[q]) * ((-1) ** beta)
-        self.s = u
-
-    def _apply_cz(self, q: int, r: int) -> None:
-        self.M[q] ^= self.G[r]
-        self.M[r] ^= self.G[q]
-
-    def _apply_cx(self, q: int, r: int) -> None:
-        G, F, M, gamma = self.G, self.F, self.M, self.gamma
-        gamma[q] = (gamma[q] + gamma[r] + 2 * ((M[q] & F[r]).bit_count() & 1)) % 4
-        G[r] ^= G[q]
-        F[q] ^= F[r]
-        M[q] ^= M[r]
-
-    def _apply_h(self, q: int) -> None:
-        g, v, s = self.G[q], self.v, self.s
-        u, beta = self._x_image(q)
-        alpha = (g & ~v & s).bit_count() & 1
-        delta = (self.gamma[q] + 2 * (alpha ^ beta)) % 4
-        self._update_sum(s ^ (g & v), u, delta=delta, alpha=alpha)
-
-    def _apply_gate(self, name: str, qubits: Sequence[int]) -> None:
-        if name == "H":
-            self._apply_h(qubits[0])
-        elif name == "S":
-            self._apply_s(qubits[0])
-        elif name == "Sdg":
-            self._apply_sdg(qubits[0])
-        elif name == "X":
-            self._apply_x(qubits[0])
-        elif name == "Z":
-            self._apply_z(qubits[0])
-        elif name == "CX":
-            self._apply_cx(qubits[0], qubits[1])
-        elif name == "CZ":
-            self._apply_cz(qubits[0], qubits[1])
-        else:
-            raise ValueError(f"unknown gate {name!r}")
-
     def _apply_word(self, word: Iterable) -> None:
+        """Left-multiply by each gate in turn.  G, F, M and gamma change in
+        place; s, v and omega are reassigned, so each gate reads them anew."""
+        G, F, M, gamma = self.G, self.F, self.M, self.gamma
         for name, qubits in word:
-            self._apply_gate(name, qubits)
+            if name == "H" or name == "X":
+                # X_q U_C U_H |s> = i^gamma_q (-1)^beta U_C U_H |u>
+                (q,) = qubits
+                g, f, m, v, s = G[q], F[q], M[q], self.v, self.s
+                u = s ^ (f & ~v) ^ (m & v)
+                beta = ((m & ~v & s).bit_count() + (f & v & m).bit_count()
+                        + (f & v & s).bit_count()) & 1
+                if name == "X":
+                    self.omega *= (1j ** gamma[q]) * ((-1) ** beta)
+                    self.s = u
+                else:
+                    alpha = (g & ~v & s).bit_count() & 1
+                    delta = (gamma[q] + 2 * (alpha ^ beta)) % 4
+                    self._update_sum(s ^ (g & v), u, delta=delta, alpha=alpha)
+            elif name == "S" or name == "Sdg":
+                (q,) = qubits
+                M[q] ^= G[q]
+                gamma[q] = (gamma[q] + (3 if name == "S" else 1)) % 4
+            elif name == "Z":
+                (q,) = qubits
+                gamma[q] = (gamma[q] + 2) % 4
+            elif name == "CX":
+                q, r = qubits
+                gamma[q] = (gamma[q] + gamma[r] + 2 * ((M[q] & F[r]).bit_count() & 1)) % 4
+                G[r] ^= G[q]
+                F[q] ^= F[r]
+                M[q] ^= M[r]
+            elif name == "CZ":
+                q, r = qubits
+                M[q] ^= G[r]
+                M[r] ^= G[q]
+            else:
+                raise ValueError(f"unknown gate {name!r}")
 
     # -- read-out ------------------------------------------------------------
 
@@ -485,7 +456,7 @@ class StabilizerState:
         ops: list = []
 
         def emit(name, *qubits):
-            st._apply_gate(name, qubits)
+            st._apply_word(((name, qubits),))
             ops.append((name, qubits))
 
         n = st.n
@@ -550,27 +521,6 @@ class StabilizerState:
         v = self.v
         mu += 2 * (a & b & v).bit_count()
         return (b & v) | (a & ~v), (a & v) | (b & ~v), mu % 4
-
-    def _project_pauli_inplace(self, p: PauliOperator, outcome: int) -> Optional[float]:
-        """Apply (I + outcome*P)/2; return the squared-norm factor.
-
-        Returns None when the projection annihilates the state.  The
-        surviving state keeps the norm it had before projection.
-        """
-        if outcome not in (1, -1):
-            raise ValueError("outcome must be +1 or -1")
-        if p.n != self.n:
-            raise ValueError("qubit counts differ")
-        a, b, mu = self._conjugated_pauli(p)
-        mu = (mu + 2 * (b & self.s).bit_count()) % 4
-        if outcome == -1:
-            mu = (mu + 2) % 4
-        if a == 0:  # i^mu Z^b is Hermitian like P, so mu is 0 or 2
-            return 1.0 if mu == 0 else None
-        # The halved weight is reported through the returned factor; the
-        # update keeps |omega| so the surviving state retains its norm.
-        self._update_sum(self.s, self.s ^ a, delta=mu, alpha=0)
-        return 0.5
 
 
 def _h_decompose(v: bool, y: bool, z: bool, delta: int):
@@ -654,11 +604,19 @@ def project_pauli(state: StabilizerState, p: PauliOperator, outcome: int):
     or None when the projection annihilates the state.  The returned
     state is normalized to the input's norm.
     """
+    if outcome not in (1, -1):
+        raise ValueError("outcome must be +1 or -1")
+    if p.n != state.n:
+        raise ValueError("qubit counts differ")
+    a, b, mu = state._conjugated_pauli(p)
+    mu = (mu + 2 * (b & state.s).bit_count() + (2 if outcome == -1 else 0)) % 4
+    if a == 0:  # i^mu Z^b is Hermitian like P, so mu is 0 or 2
+        return (state.copy(), 1.0) if mu == 0 else None
+    # The halved weight is reported through the factor; the update keeps
+    # |omega|, so the surviving state retains its norm.
     st = state.copy()
-    factor = st._project_pauli_inplace(p, outcome)
-    if factor is None:
-        return None
-    return st, factor
+    st._update_sum(st.s, st.s ^ a, delta=mu, alpha=0)
+    return st, 0.5
 
 
 # ---------------------------------------------------------------------------

@@ -329,11 +329,23 @@ class TestCliCommands:
         (["cost", "--t", "4", "--delta", "0.3", "--out", "{dir}"], "directory"),
         (["gen-masks", "--t", "8", "--out", "{dir}"], "directory"),
         (["estimate", "--decomp", "{decomp}", "--paulis", "ZZ,x"], "'+' or '-', got 'x'"),
+        # xi_t = l1^2 is inf from t = 4483 at pi/4, and l1 = (c0 + c1)^t overflows from 8965
+        (["sparsify", "--t", "4482", "--mode", "theorem2", "--delta", "0.3"], "not a finite"),
+        (["sparsify", "--t", "4484", "--mode", "theorem2", "--delta", "0.3"], "at t = 4484"),
+        (["sparsify", "--t", "10000", "--mode", "iid", "--delta", "0.3"], "at t = 10000"),
+        (["sparsify", "--t", "10000", "--mode", "theorem1", "--delta", "0.3"], "at t = 10000"),
+        (["sparsify", "--t", "10000", "--mode", "theorem2", "--delta", "0.3"], "at t = 10000"),
+        (["bench", "sparsify-stats", "--t", "10000", "--trials", "1"], "at t = 10000"),
+        (["bench", "worst-case", "--t", "10000", "--trials", "1", "--cliffords", "0"],
+         "at t = 10000"),
     ], ids=["delta-zero", "phi-foo", "phi-pi-over-zero", "paulis-too-long",
          "gen-masks-t-zero", "delta-above-one", "cost-delta-cube-underflows",
          "cost-delta-cube-underflows-t200", "sparsify-delta-square-underflows",
          "sparsify-k-undrawable", "worst-case-k-undrawable", "decomp-is-directory",
-         "cost-out-is-directory", "gen-masks-out-is-directory", "paulis-outcome-not-a-sign"])
+         "cost-out-is-directory", "gen-masks-out-is-directory", "paulis-outcome-not-a-sign",
+         "theorem2-f-t-overflows", "theorem2-extent-overflows", "iid-extent-overflows",
+         "theorem1-extent-overflows", "theorem2-extent-overflows-t10000",
+         "sparsify-stats-extent-overflows", "worst-case-extent-overflows"])
     def test_rejected_values_exit_3(self, argv, needle, tmp_path, capsys):
         decomp_path = tmp_path / "d.json"
         cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",

@@ -48,6 +48,8 @@ class TestClosedFormCounts:
         # the count itself overflows to inf
         with pytest.raises(ValueError, match="finite"):
             cm.k_iid_quadratic(1e300, 1e-10)
+        with pytest.raises(ValueError, match="finite"):
+            cm.f_t_optimal(0.3, math.inf)
 
 
 class TestKTheorem1:

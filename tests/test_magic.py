@@ -32,6 +32,12 @@ class TestMagicModel:
         with pytest.raises(ValueError):
             magic.magic_model(PI4, 0)
 
+    def test_extent_overflow_rejected(self):
+        assert math.isfinite(magic.magic_model(PI4, 4482).xi_t)
+        for t in (4483, 8965):  # xi_t = inf, then l1 itself overflows
+            with pytest.raises(ValueError, match=f"at t = {t}"):
+                magic.magic_model(PI4, t)
+
     def test_coefficient_magnitudes(self):
         for phi in (0.2, PI4, 1.1, math.pi / 2):
             m = magic.magic_model(phi, 3)

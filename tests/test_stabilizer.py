@@ -192,6 +192,11 @@ class TestProjection:
                 assert res[1] == pytest.approx(dres[1], abs=1e-10)
                 assert np.allclose(res[0].to_dense(), dres[0], atol=1e-9)
 
+    @pytest.mark.parametrize("pauli, outcome", [("ZI", 0), ("ZI", 2), ("Z", 1), ("ZII", -1)])
+    def test_bad_arguments_rejected(self, pauli, outcome):
+        with pytest.raises(ValueError):
+            sb.project_pauli(sb.StabilizerState(2), sb.PauliOperator.from_string(pauli), outcome)
+
     def test_imaginary_phase_rejected(self):
         with pytest.raises(ValueError):
             sb.PauliOperator(1, 1, 0, 1j)
@@ -364,6 +369,53 @@ class TestCHFormBeyondOneWord:
         ip = sb.inner_product(a, near)
         assert abs(abs(ip) - 0.5) <= 1e-12 and abs(ip.imag) > 0.1
         assert abs(ip - np.conjugate(sb.inner_product(near, a))) <= 1e-12
+
+
+class TestCHOracle:
+    def test_outputs_pinned(self):
+        # pins the CH form's values bit for bit, + 0.0-normalised like the
+        # dense pin below
+        h = hashlib.sha256()
+
+        def feed(value):
+            h.update((np.asarray(value, dtype=np.complex128) + 0.0).tobytes())
+
+        def feed_state(st):
+            feed(st.omega)
+            if st.n <= 8:
+                feed(st.to_dense())
+
+        rng = np.random.default_rng(143)
+        for case in range(240):
+            n = case % 12 + 1
+            a = sb.apply_clifford(sb.product_state_from_bits(int(rng.integers(1 << n)), n),
+                                  sb.random_clifford_word(n, int(rng.integers(0, 81)), rng))
+            b = sb.apply_clifford(sb.StabilizerState(n), sb.random_clifford(n, rng))
+            for st in (a, b):
+                feed_state(st)
+            feed(sb.inner_product(a, b))
+            feed(sb.inner_product(b, a))
+            p = sb.random_pauli(n, rng)
+            for st in (a, b):
+                for outcome in (1, -1):
+                    res = sb.project_pauli(st, p, outcome)
+                    if res is None:
+                        h.update(b"None")
+                    else:
+                        feed(res[1])
+                        feed_state(res[0])
+        for t in (3, 6, 10):
+            d = magic.sample_iid(magic.magic_model(math.pi / 4, t), 12, np.random.default_rng(t))
+            op = sb.random_clifford_word(t, 40, np.random.default_rng(50 + t))
+            terms = [(w, sb.apply_clifford(st, op)) for w, st in magic.to_states(d)]
+            feed(estimator.sqnorm_terms(terms))
+        rng = np.random.default_rng(144)
+        a, b = (sb.apply_clifford(sb.StabilizerState(70), sb.random_clifford_word(70, 400, rng))
+                for _ in range(2))
+        feed(sb.inner_product(a, b))
+        assert h.hexdigest() == (
+            "f3685ed8fd96d3fb25a5e188879deb1dbd58e854eed110e04d7721ee3c7bf004"
+        )
 
 
 class TestDenseOracle:
