@@ -147,8 +147,7 @@ def theorem1_plan(model: magic.MagicModel, delta: float, mask_set: masks.MaskSet
         gamma = magic.gamma_bound(model, mask_set, f)
         if gamma >= xi:
             continue
-        k = costmodel.k_theorem1(xi, delta, gamma)
-        k = math.ceil(k / (f + 1)) * (f + 1)
+        k = costmodel._round_up_multiple(costmodel.k_theorem1(xi, delta, gamma), f + 1)
         if k_iid - k >= math.ceil(f / 2):
             return CorrelatedPlan(f, gamma, k, k_iid, mask_set)
     return CorrelatedPlan(0, 1.0, k_iid, k_iid, mask_set)

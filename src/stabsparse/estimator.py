@@ -3,8 +3,9 @@
 Every exact quantity comes from one closed-form Gram kernel over the
 |0>/|+> product terms, the values sum_ij conj(a_i) a_j <phi_i| P |phi_j>
 for a list of Paulis P, by popcounts on bits packed in the narrowest
-unsigned lane, over the upper triangle in row tiles that reuse one set of
-buffers, summed as real 2 x 2 products of [Re a, Im a] with terms in
+unsigned lane, in one block of plain temporaries when one row tile covers
+every row and otherwise over the upper triangle in row tiles that reuse one
+set of buffers, summed as real 2 x 2 products of [Re a, Im a] with terms in
 canonical order (see ``_gram``); ``exact_sqnorm`` is its P = I case.
 Monte-Carlo norm estimation (``fastnorm``) samples random stabilizer
 states instead, drawn directly by ``quadform`` with closed-form
@@ -68,8 +69,15 @@ class ProbabilityEstimate:
     clamped: bool
 
 
-#: entries per row-tile Gram block: the reused buffers stay O(tile * k) and in cache
+#: entries per row-tile Gram block over all Paulis: a call whose whole block
+#: (k^2 entries per Pauli) fits uses temporaries, larger ones reuse O(tile * k) buffers
 _TILE_ENTRIES = 1 << 18
+#: exact 2^n (n = -512..512), 2^(n/2) (n = -1024..1024) and the signs +1, -1 as
+#: tables: in an op that starts with cold caches an index into them costs less
+#: than a fresh ldexp, exp2 or where, and reads the values those would give
+_POW2 = np.ldexp(1.0, np.arange(-512, 513))
+_ROOT2 = np.exp2(0.5 * np.arange(-1024, 1025))
+_SIGNS = np.array([1.0, -1.0])
 
 
 def _words(values: Sequence[int], t: int) -> np.ndarray:
@@ -89,7 +97,10 @@ def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
     ri = (decomp.phases() * scale).view(np.float64).reshape(-1, 2)
     order = np.lexsort((ri[:, 1], ri[:, 0], *bits.T))
     bits, ri = bits[order], ri[order]
-    r = np.exp2(16 * bits.shape[1] - 0.5 * np.bitwise_count(bits).sum(axis=-1))
+    width = bits.shape[1]
+    count = np.bitwise_count(bits).sum(axis=-1) if width > 1 else np.bitwise_count(bits[:, 0])
+    # 2^((h - |b|)/2), h = 32 * width: _ROOT2 read down from 2^(h/2)
+    r = _ROOT2[1024 + 32 * width::-1][count]
     return bits, ri * r[:, None]
 
 
@@ -108,8 +119,13 @@ def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
     (-1)^|x & z| G_P, so row tile I meets only columns lo: and an
     off-diagonal block's z adds its mirror (-1)^|x & z| conj(z).  Blocks sum
     as the real 2 x 2 M = ri_I^T G ri_J, and a_I^dag G a_J = M00 + M11 +
-    i(M01 - M10).  Every tile writes into contiguous leading views of one
-    set of flat buffers, allocated for the first (largest) tile.
+    i(M01 - M10).  When one row tile covers every row (k^2 len(keys) <=
+    ``_TILE_ENTRIES``), the whole block comes from fresh temporaries, with
+    no buffer set-up and no off-diagonal block: at k = 32 that is cheaper
+    than the pool.  Otherwise every tile writes into contiguous leading
+    views of one set of flat buffers, allocated for the first (largest) tile,
+    which beats fresh temporaries at k in the thousands.  Both paths give
+    the same bits.
     """
     k, width = bits.shape
     if width > 16:
@@ -124,15 +140,26 @@ def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
     if any(x & z for x, z in keys):
         odd = np.bitwise_count(lanes & (xs & zs))
         odd = (odd if width == 1 else odd.sum(axis=-1)) & 1
-        sri = np.where(odd[..., None], -ri, ri)
-    m = np.zeros((2, p, 2, 2))  # diagonal and off-diagonal blocks
-    tile = max(1, _TILE_ENTRIES // max(k * p, 1))
-    size = min(tile, k) * k
-    both_buf, cnt_buf = np.empty(size * width, bits.dtype), np.empty(size * width, np.uint8)
-    g_buf, sum_buf = np.empty(size), np.empty(size if width > 1 else 0, np.int32)
+        sri = ri * _SIGNS[odd][..., None]
     pauli = any(x or z for x, z in keys)
     if pauli:
         rows = (xs ^ ((xs ^ zs) & lanes))[:, :, None]  # x ^ ((x ^ z) & a) per row a
+    tile = max(1, _TILE_ENTRIES // max(k * p, 1))
+    if tile >= k:  # one row tile: plain temporaries, and no off-diagonal block
+        a = lanes[:, None]
+        cnt = np.bitwise_count(a & lanes)  # g = 2^(|a & b| - h)
+        g = _POW2[512 - h:][cnt if width == 1 else cnt.sum(axis=-1, dtype=np.int32)]
+        if pauli:  # live where the row mask lies inside a ^ b
+            live = (rows & (a ^ lanes)) == rows
+            g = g * (live if width == 1 else live.all(axis=-1))
+        m = np.zeros((p, 2, 2))
+        m += ri.T @ (g @ sri)  # from zero like the tiled sum, so -0.0 reads 0.0
+        return [complex(d0[0] + d1[1], d0[1] - d1[0]) for d0, d1 in m.tolist()]
+    m = np.zeros((2, p, 2, 2))  # diagonal and off-diagonal blocks
+    size = tile * k
+    both_buf, cnt_buf = np.empty(size * width, bits.dtype), np.empty(size * width, np.uint8)
+    g_buf, sum_buf = np.empty(size), np.empty(size if width > 1 else 0, np.int32)
+    if pauli:
         flip, dead_buf = ~lanes, np.empty(p * size * width, bits.dtype)
         live_buf, gp_buf = np.empty(p * size, bool), np.empty(p * size)
     for lo in range(0, k, tile):
@@ -262,14 +289,18 @@ def rho1_distance(
 
 
 def _product(left: dict, right: dict) -> dict:
-    """Product of Pauli sums {(x, z): c}, each standing for sum c X^x Z^z."""
+    """Product of Pauli sums {(x, z): c}, each standing for sum c X^x Z^z.
+
+    A chain's coefficients are sums of products of 1/2, +-1 and +-i, exact
+    in floats, so how a product is formed changes at most the sign of a
+    zero, which no norm reads."""
     out: dict = {}
     for (x1, z1), c1 in left.items():
         for (x2, z2), c2 in right.items():
             key = (x1 ^ x2, z1 ^ z2)
             # Z^z1 X^x2 = (-1)^|z1 & x2| X^x2 Z^z1
-            out[key] = out.get(key, 0) + (-1) ** (z1 & x2).bit_count() * c1 * c2
-    return {key: c for key, c in out.items() if c != 0}
+            out[key] = out.get(key, 0) + (-c1 * c2 if (z1 & x2).bit_count() & 1 else c1 * c2)
+    return out if all(out.values()) else {key: c for key, c in out.items() if c}
 
 
 def _chain(t: int, circuit: Optional[CliffordOp], paulis: Sequence) -> list:

@@ -278,7 +278,7 @@ def sample_correlated(
         )
     size = f_t + 1
     shifts = (0,) + tuple(masks.masks[:f_t])
-    entries = _sample_entries(model, math.ceil(k_total / size), rng, shifts)
+    entries = _sample_entries(model, -(-k_total // size), rng, shifts)
     k = len(entries)
     return SparseDecomposition(
         t=model.t,

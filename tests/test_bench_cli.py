@@ -22,6 +22,15 @@ class TestPlans:
         assert plan.k_correlated % (plan.f_t + 1) == 0
         assert plan.k_iid - plan.k_correlated >= math.ceil(plan.f_t / 2)
 
+    @pytest.mark.parametrize("t, delta", [(246, 0.3), (254, 0.1)])
+    def test_theorem1_plan_rounds_groups_in_integers(self, t, delta):
+        # past 2^53 terms a float ceiling of k / (f_t + 1) fell below k_theorem1
+        model = magic.magic_model(math.pi / 4, t)
+        plan = bench.theorem1_plan(model, delta, bench.default_masks(t, 2 * t - 1))
+        assert plan.k_correlated > 2**53
+        assert plan.k_correlated % (plan.f_t + 1) == 0
+        assert plan.k_correlated >= costmodel.k_theorem1(model.xi_t, delta, plan.gamma)
+
     def test_theorem2_plan_t8(self):
         model = magic.magic_model(math.pi / 4, 8)
         plan = bench.theorem2_plan(model, 0.2, masks.generate_masks_pow2(8))

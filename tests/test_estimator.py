@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from stabsparse import costmodel, dense, estimator, magic, masks
+from stabsparse import bench, costmodel, dense, estimator, magic, masks
 from stabsparse import stabilizer as sb
 
 PI4 = math.pi / 4
@@ -506,6 +506,63 @@ class TestHeisenbergPauliProb:
             "bd976ba71fcefdb51e5a061d762c16650a45f686d5c2da428c8848349b833199"
         )
 
+    @staticmethod
+    def anticommuting(p, rng):
+        """A random Pauli that anticommutes with p (p must not be +-I)."""
+        while True:
+            q = sb.random_pauli(p.n, rng)
+            if ((p.x_bits & q.z_bits).bit_count() + (p.z_bits & q.x_bits).bit_count()) % 2:
+                return q
+
+    def test_exact_chain_pinned(self, monkeypatch):
+        # pins EXACT raw_value and step_values bit for bit over 240 cases:
+        # k in {1, 2, 5, 32, 64} (i.i.d., and correlated at t = 8, 64 and
+        # k >= 32), t in {1, 3, 8, 64, 65, 96} (t = 65, 96 in two 64-bit
+        # words), chains of 1-4 Paulis: commuting (a repeated Pauli) and
+        # anticommuting pairs, all-Y Paulis and one annihilated step; each
+        # in one row tile and, at 97 entries a tile, in several
+        cases = []
+        for t in (1, 3, 8, 64, 65, 96):
+            m = magic.magic_model(PI4, t)
+            for k in (1, 2, 5, 32, 64):
+                rng = np.random.default_rng(1600 + 100 * t + k)
+                if t in (8, 64) and k >= 32:
+                    d = magic.sample_correlated(m, bench.default_masks(t, 3), 3, k, rng)
+                else:
+                    d = magic.sample_iid(m, k, rng)
+                circuit = None if k == 1 else sb.random_clifford_word(t, 3 * t + 10, rng)
+                p = sb.random_pauli(t, rng)
+                while not (p.x_bits or p.z_bits):
+                    p = sb.random_pauli(t, rng)
+                anti = self.anticommuting(p, rng)
+                q, r = sb.random_pauli(t, rng), sb.random_pauli(t, rng)
+                ys = sb.PauliOperator.from_string("-" * (k % 2) + "Y" * t)
+                cases += [(d, circuit, chain) for chain in (
+                    [(p, 1)],
+                    [(ys, -1)],
+                    [(p, 1), (anti, -1)],
+                    [(p, -1), (q, 1), (p, -1)],  # a repeated Pauli commutes with itself
+                    [(ys, 1), (p, 1), (anti, 1), (q, -1)],
+                    [(q, -1), (r, 1), (ys, -1), (p, 1)],
+                    [(p, 1), (anti, 1), (p, -1)],  # O_3 has no identity term
+                    [(p, 1), (p, -1)],  # annihilated at step 2
+                )]
+        assert len(cases) == 240
+        h = hashlib.sha256()
+        zeros = live = 0
+        for tile_entries in (1 << 18, 97):
+            monkeypatch.setattr(estimator, "_TILE_ENTRIES", tile_entries)
+            for d, circuit, chain in cases:
+                est = estimator.pauli_prob(d, circuit, chain)
+                h.update(repr((est.raw_value, est.step_values)).encode())
+                zeros += est.step_values[-1] == 0.0
+                live += est.raw_value > 1e-3
+        assert zeros >= 60
+        assert live >= 300
+        assert h.hexdigest() == (
+            "c8d790f0c0115a7ce768139a939d61579e0b06fbcf9bdd537e9bf5bbe3521ee3"
+        )
+
 
 class TestGramKernel:
     T = 96  # two uint64 words per bitstring
@@ -801,3 +858,24 @@ class TestTargetReferences:
                 assert err2 == pytest.approx(estimator.approx_error(d, m) ** 2, abs=1e-12)
         m, d = full_decomposition(3)
         assert abs(estimator.target_overlap(d, m) - 1) <= 1e-12
+
+    @pytest.mark.parametrize("f_t", [0, 31])
+    def test_mean_err2_follows_the_measured_law_t16(self, f_t):
+        # E||psi - Psi||^2 = (xi - gamma)/k at k = 64: i.i.d. draws (gamma = 1)
+        # and two correlated groups of 32, with gamma from gamma_bound
+        t, k, trials = 16, 64, 1000
+        m = magic.magic_model(PI4, t)
+        mask_set = bench.default_masks(t, 2 * t - 1)
+        gamma = magic.gamma_bound(m, mask_set, f_t)
+        rng = np.random.default_rng(1700 + f_t)
+        err2 = []
+        for _ in range(trials):
+            if f_t:
+                d = magic.sample_correlated(m, mask_set, f_t, k, rng)
+            else:
+                d = magic.sample_iid(m, k, rng)
+            overlap = estimator.target_overlap(d, m)
+            err2.append(estimator.exact_sqnorm(d).value - 2 * overlap.real + 1)
+        sem = np.std(err2, ddof=1) / math.sqrt(trials)
+        z = (np.mean(err2) - (m.xi_t - gamma) / k) / sem
+        assert abs(z) <= 3

@@ -381,6 +381,15 @@ class TestSamplingStream:
         with pytest.raises(ValueError, match=r"cannot draw k = 128 terms at t = 32"):
             magic.sample_correlated(m, mask_set, 63, 100, rng)
 
+    def test_refused_draw_names_the_exact_group_multiple(self):
+        # past 2^53 a float ceiling of k_total / (f_t + 1) named a k below
+        # the group multiple; numpy refuses the draw's shape before allocating
+        m, rng = magic.magic_model(PI4, 64), np.random.default_rng(1)
+        mask_set = masks.generate_masks_even(64)
+        message = r"cannot draw k = 1152921504606846978 terms at t = 64"
+        with pytest.raises(ValueError, match=message):
+            magic.sample_correlated(m, mask_set, 2, 2**60 + 1, rng)
+
     def test_off_pi4_phases(self):
         # p1 != 1/2 and u0 != u1 exercise both the threshold and the table
         m = magic.magic_model(0.3, 12)
