@@ -8,12 +8,13 @@ every row and otherwise over the upper triangle in row tiles that reuse one
 set of buffers, summed as real 2 x 2 products of [Re a, Im a] with terms in
 canonical order (see ``_gram``); ``exact_sqnorm`` is its P = I case.
 Monte-Carlo norm estimation (``fastnorm``) samples random stabilizer
-states instead, drawn directly by ``quadform`` with closed-form
-product-term overlaps, by one loop at every t.  Probability estimation
-works in the Heisenberg picture: one Pauli frame pushes the measured
-Paulis back through the Clifford circuit (``CliffordOp.conjugate_paulis``),
-and a joint outcome probability is a telescoping product of ratios of
-norms under the projected Pauli sums.  One chain evaluator serves estimates and truths:
+states instead, drawn directly by ``quadform``, whose closed-form
+product-term overlaps come from one lane elimination per chunk of
+samples, at every t.  Probability estimation works in the Heisenberg
+picture: one Pauli frame pushes the measured Paulis back through the
+Clifford circuit (``CliffordOp.conjugate_paulis``), and a joint outcome
+probability is a telescoping product of ratios of norms under the
+projected Pauli sums.  One chain evaluator serves estimates and truths:
 ``pauli_prob`` takes the Paulis' values on psi from one Gram call (or
 samples them), ``target_prob`` takes them on the exact magic state from
 its one-qubit Bloch components, and both share the annihilation rule and
@@ -32,9 +33,9 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import dense
-from .magic import MagicModel, SparseDecomposition, dense_decomposition, dense_target, lane_bytes
+from .magic import MagicModel, SparseDecomposition, dense_decomposition, dense_target, lane_words
 from .magic import to_states  # noqa: F401  (unused here; perfbench traces it at this name)
-from .quadform import product_overlaps, random_stabilizer_state
+from .quadform import chunk_states, form_overlaps, overlap_forms, random_stabilizer_state
 from .stabilizer import (
     CliffordOp,
     apply_clifford,  # noqa: F401  (unused here; perfbench traces it at this name)
@@ -80,20 +81,11 @@ _ROOT2 = np.exp2(0.5 * np.arange(-1024, 1025))
 _SIGNS = np.array([1.0, -1.0])
 
 
-def _words(values: Sequence[int], t: int) -> np.ndarray:
-    """(len(values), width) little-endian words of t-bit ints: t <= 64 in
-    one ``lane_bytes`` lane, wider t in ceil(t/64) uint64 words."""
-    if t <= 64:
-        return np.array(values, dtype=f"<u{lane_bytes(t)}")[:, None]
-    data = b"".join(v.to_bytes(8 * -(-t // 64), "little") for v in values)
-    return np.frombuffer(data, dtype="<u8").reshape(len(values), -(-t // 64))
-
-
 def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
     """Packed bits and k x 2 rows [Re, Im] of r_b * scale * phase, with
     r_b = 2^((h - |b|)/2) as ``_gram`` takes them, sorted by (bits, Re, Im)
     so that a Gram sum is independent of the entry order."""
-    bits = _words([x for x, _ in decomp.entries], decomp.t)
+    bits = lane_words([x for x, _ in decomp.entries], decomp.t)
     ri = (decomp.phases() * scale).view(np.float64).reshape(-1, 2)
     order = np.lexsort((ri[:, 1], ri[:, 0], *bits.T))
     bits, ri = bits[order], ri[order]
@@ -107,7 +99,7 @@ def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
 def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
     """[sum_ij conj(a_i) a_j <phi_i| X^x Z^z |phi_j> for (x, z) in keys].
 
-    ``bits`` holds the |0>/|+> product labels as ``_words`` lanes (a set bit
+    ``bits`` holds the |0>/|+> product labels as ``lane_words`` lanes (a set bit
     is |+>), ``ri`` the amplitudes as rows r_b [Re a, Im a] from ``_terms``.
     An entry of G_P is 0 if a qubit has x & ~a & ~b or z & a & b, that is if
     row a's mask x ^ ((x ^ z) & a) meets ~(a ^ b), else
@@ -132,7 +124,7 @@ def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
         raise ValueError("the Gram kernel's power-of-two scaling covers t <= 1024")
     h, keys = 32 * width, list(keys)
     p = len(keys)
-    words = _words([x for x, _ in keys] + [z for _, z in keys], 8 * bits.itemsize * width)
+    words = lane_words([x for x, _ in keys] + [z for _, z in keys], 8 * bits.itemsize * width)
     lane = (width,) if width > 1 else ()  # one lane needs no word axis
     lanes = bits.reshape(k, *lane)
     xs, zs = words.reshape(2, p, 1, *lane)
@@ -228,25 +220,35 @@ def fastnorm(decomp: SparseDecomposition, m_samples: int, rng) -> NormEstimate:
 def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int, rng) -> float:
     """(2^t / M) sum_j |<theta_j| O |psi>|^2 for O = sum c X^x Z^z, {(x, z): c}.
 
-    Each theta_j is one ``random_stabilizer_state`` draw, and each term's
-    <theta| X^x Z^z |phi_b> comes from ``product_overlaps`` as
-    conj(<phi_b| Z^z X^x |theta>).  The 2^t scaling is exact (``ldexp``)
-    and, like the Gram kernel's, covers t <= 1024.
+    The states theta_j are ``random_stabilizer_state`` draws, made in chunks
+    of ``chunk_states`` samples, whose lanes (one per sample, Pauli and
+    term) fill at most one lane tile.  Only the draws use the rng, so its
+    stream is that of one draw per sample.  ``overlap_forms`` builds each
+    (state, Pauli) form once, one ``form_overlaps`` call gives every
+    <phi_b| Z^z X^x |theta> of a chunk, and each sample sums its terms'
+    conj(overlap) phase with ``np.vdot``, in sample order.  The 2^t scaling
+    is exact (``ldexp``) and, like the Gram kernel's, covers t <= 1024.
     """
+    if isinstance(m_samples, bool) or not isinstance(m_samples, (int, np.integer)):
+        raise ValueError(f"sample count must be an int, got {m_samples!r}")
     if m_samples < 1:
         raise ValueError("sample count must be at least 1")
-    if decomp.t > 1024:
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"fastnorm needs an rng (an np.random.Generator), got {rng!r}")
+    t = decomp.t
+    if t > 1024:
         raise ValueError("fastnorm's 2^t scaling covers t <= 1024")
-    labels, phases = [b for b, _ in decomp.entries], decomp.phases()
+    labels, phases = lane_words([b for b, _ in decomp.entries], t), decomp.phases()
+    keys, coeffs = list(pauli_sum), list(pauli_sum.values())
+    per = chunk_states(t, len(keys) * len(labels))
     total = 0.0
-    for _ in range(m_samples):
-        theta = random_stabilizer_state(decomp.t, rng)
-        amp = sum(
-            c * np.vdot(product_overlaps(theta, labels, x, z), phases)
-            for (x, z), c in pauli_sum.items()
-        )
-        total += abs(decomp.prefactor * amp) ** 2
-    return float(math.ldexp(total, decomp.t) / m_samples)
+    for done in range(0, m_samples, per):
+        states = [random_stabilizer_state(t, rng) for _ in range(min(per, m_samples - done))]
+        chunk = form_overlaps(overlap_forms(states, keys), labels, t)
+        for row in chunk.reshape(len(states), len(keys), len(labels)):
+            amp = sum(c * np.vdot(overlaps, phases) for c, overlaps in zip(coeffs, row))
+            total += abs(decomp.prefactor * amp) ** 2
+    return float(math.ldexp(total, t) / m_samples)
 
 
 def approx_error(decomp: SparseDecomposition, model: MagicModel) -> float:
@@ -384,8 +386,6 @@ def pauli_prob(
     """
     if method not in (EXACT, FASTNORM):
         raise ValueError(f"unknown norm method {method!r}")
-    if method == FASTNORM and rng is None:
-        raise ValueError("fastnorm needs an rng")
     ops = _chain(decomp.t, circuit, paulis)
     if method == EXACT:
         norms = _chain_norms(ops, lambda keys: _gram(*_terms(decomp, decomp.prefactor), keys))

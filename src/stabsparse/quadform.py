@@ -3,13 +3,16 @@
 A t-qubit stabilizer state is, up to global phase,
 ``theta(x) = 2^(-r/2) sum_y [x = a0 ^ yR] i^(l.y) (-1)^(q(y))`` over
 y in F2^r (Dehaene-De Moor, quant-ph/0304125).  ``random_stabilizer_state``
-draws it uniformly without a Clifford circuit, and ``product_overlaps``
-gives its overlaps with the |0>/|+> product terms of a decomposition under
-a Pauli as exponential sums over Z4 forms (Bravyi-Gosset,
-arXiv:1601.07601): one O(t^2) form per state and Pauli, with the
-Pauli's move of the support folded in once, then one elimination per
-term and no per-term shift, at any t: fastnorm's only sampler.  Bit q of
-an int is qubit q, as in ``stabilizer``.
+draws it uniformly without a Clifford circuit.  Its overlaps with the
+|0>/|+> product terms of a decomposition under a Pauli are exponential
+sums over Z4 forms (Bravyi-Gosset, arXiv:1601.07601): ``overlap_forms``
+builds one O(t^2) form per state and Pauli, with the Pauli's move of the
+support folded in once, for many states in a few numpy calls, and each
+term restricts a form to its own variables, with no per-term shift.
+``form_overlaps`` sums every term of many forms in one numpy elimination
+whose lanes are the (form, term) pairs, at any t: fastnorm's only
+sampler.  ``product_overlaps`` and ``_z4_sum`` are its one-form and
+one-lane calls.  Bit q of an int is qubit q, as in ``stabilizer``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,9 @@ import itertools
 import math
 from typing import NamedTuple, Sequence
 
-from .stabilizer import _add_row
+import numpy as np
+
+from .magic import lane_bytes, lane_words
 
 #: w^k for w = e^(i pi / 4)
 _C = math.sqrt(0.5)
@@ -67,10 +72,23 @@ def _support_cdf(t: int) -> tuple:
 
 def _random_rows(t: int, count: int, rng) -> list:
     """``count`` uniform t-bit ints from one draw of raw 64-bit words."""
-    width = 8 * ((t + 63) // 64)
+    mask = (1 << t) - 1
+    if t <= 64:
+        return [v & mask for v in rng.bit_generator.random_raw(count).tolist()]
+    width = 8 * -(-t // 64)
     data = rng.bit_generator.random_raw(width // 8 * count).astype("<u8").tobytes()
-    return [int.from_bytes(data[i:i + width], "little") & ((1 << t) - 1)
+    return [int.from_bytes(data[i:i + width], "little") & mask
             for i in range(0, width * count, width)]
+
+
+def _reduce(row: int, echelon: dict, pivots: int) -> int:
+    """``row`` less the echelon rows of the pivots it hits."""
+    hits = row & pivots
+    while hits:
+        bit = hits & -hits
+        row ^= echelon[bit.bit_length() - 1]
+        hits ^= bit
+    return row
 
 
 def random_stabilizer_state(t: int, rng) -> QuadraticFormState:
@@ -86,167 +104,332 @@ def random_stabilizer_state(t: int, rng) -> QuadraticFormState:
     if t < 1:
         raise ValueError("qubit count must be at least 1")
     r = bisect.bisect_right(_support_cdf(t), rng.random())
-    echelon: dict = {}
+    echelon: dict = {}  # pivot column -> row, in reduced echelon form
+    pivots = 0
     for row in _random_rows(t, r, rng):
-        rank = len(echelon)
-        _add_row(echelon, row, t)
-        while len(echelon) == rank:  # the row was in the span: redraw it
-            _add_row(echelon, _random_rows(t, 1, rng)[0], t)
+        row = _reduce(row, echelon, pivots)
+        while not row:  # the row was in the span: redraw it
+            row = _reduce(_random_rows(t, 1, rng)[0], echelon, pivots)
+        bit = row & -row
+        for col, other in echelon.items():
+            if other & bit:
+                echelon[col] = other ^ row
+        echelon[bit.bit_length() - 1] = row
+        pivots |= bit
     a0, l, *q = _random_rows(t, r + 2, rng)
-    for col, row in echelon.items():
-        if (a0 >> col) & 1:
-            a0 ^= row
     low = (1 << r) - 1
     # tuples from lists: one built from a generator is resized, so every
     # draw would leave a block in CPython's per-size tuple free lists
     return QuadraticFormState(
         t=t,
-        a0=a0,
+        a0=_reduce(a0, echelon, pivots),
         R=tuple([echelon[c] for c in sorted(echelon)]),
         l=l & low,
         Q=tuple([(qj & low) >> j << j for j, qj in enumerate(q)]),
     )
 
 
+#: the size of a chunk: lanes x t x words of J in one elimination tile,
+#: and states x t x t bits in one batch of ``overlap_forms``
+_LANE_ENTRIES = 1 << 18
+#: w^k (k = 0..7) as one complex128 array
+_ROOTS8_LANES = np.array(_ROOTS8, dtype=np.complex128)
+
+
+def lane_tile(t: int) -> int:
+    """Lanes per elimination tile at t variables: ``_LANE_ENTRIES`` over J's
+    t x words entries per lane."""
+    return max(1, _LANE_ENTRIES // (t * (1 if t <= 64 else -(-t // 64))))
+
+
+def chunk_states(t: int, lanes: int) -> int:
+    """States per chunk when each brings ``lanes`` lanes: as many as fill
+    one lane tile and hold at most ``_LANE_ENTRIES`` form bits, at least one."""
+    return max(1, min(lane_tile(t) // max(lanes, 1), _LANE_ENTRIES // (t * t)))
+
+
+def _lowest(words: np.ndarray) -> tuple:
+    """(index, words of that bit alone) of each lane's lowest set bit, by
+    popcount of the bits below it; an empty lane's index is the lane's bit
+    count."""
+    if words.shape[1] == 1:
+        low = words & -words
+        return np.bitwise_count(low[:, 0] - 1), low
+    rows, nonzero = np.arange(len(words)), words != 0
+    w = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), words.shape[1] - 1)
+    word = words[rows, w]
+    low = word & -word
+    bit = np.zeros_like(words)
+    bit[rows, w] = low
+    return 64 * w + np.bitwise_count(low - 1), bit
+
+
+#: (e, k, zero) of a lane packed in one int64: k's sum in the low bits, e
+#: from bit 16, and a zero sum from bit 32
+_E, _ZERO = 1 << 16, 1 << 32
+#: L of the sentinel row, which a lane reads for a variable it does not
+#: have: L_m = 4 means nothing is left, L_p = 4 no neighbour
+_NONE = 4
+#: a tile of at least this many lanes sheds them once half are idle: below
+#: it the numpy calls of shedding cost more than the idle lanes' work
+_SHED_LANES = 256
+
+
+def _step_tables() -> tuple:
+    """``_z4_sum``'s elimination of m as table rows, one per code
+    L_m + 5 L_p with p the lowest neighbour of m (either may be ``_NONE``).
+    A ``_STEPS`` row is (substitute p, T's shift, N_p's shift, T's rows
+    toggle T too, the lane goes on), an ``_ACC`` entry the step's packed
+    (e, k, zero)."""
+    steps, acc = np.zeros((25, 5), np.uint8), np.zeros(25, np.int64)
+    for lm, lp in itertools.product(range(_NONE), range(_NONE + 1)):
+        code, c = lm + 5 * lp, lm >> 1
+        if lm & 1:  # sqrt2 w^(2 - L_m): T = the neighbours, which gain -L_m
+            steps[code], acc[code] = (0, -lm % 4, 0, 1, 1), _E + (2 - lm) % 8
+        elif lp < _NONE:  # 2 w^(2 L_p c): substitute p, T = the other neighbours
+            steps[code] = (1, lp * (1 - 2 * c) % 4, 2 * c, lp & 1, 1)
+            acc[code] = 2 * _E + 2 * lp * c % 8
+        else:  # 2 [c = 0]
+            steps[code], acc[code] = (0, 0, 0, 0, 1 - c), 2 * _E + c * _ZERO
+    return steps, acc
+
+
+_STEPS, _ACC = _step_tables()
+
+
+def _z4_lanes(L: np.ndarray, J: np.ndarray, form: np.ndarray, alive: np.ndarray) -> np.ndarray:
+    """``_z4_sum`` in every lane at once: each lane's (e, k, zero), packed
+    as in ``_ACC`` (k mod 8 is the low 3 bits).
+
+    Lane i sums the variables ``alive[i]`` (``lane_words`` words) of form
+    ``form[i]``, whose terms are ``L[form[i]]`` (t values, read mod 4) and
+    ``J[form[i]]`` (t rows of words).  Each pass sums out every lane's
+    lowest alive variable m by ``_z4_sum``'s rule, read from ``_STEPS``
+    and ``_ACC``: an odd L_m moves its neighbours, and an even L_m with
+    neighbours substitutes the lowest one, p.  Both updates have one
+    shape: rows in a set T gain a shift in L and toggle a mask in J, rows
+    in N_p gain 2c and toggle T (N_p is empty when L_m is odd).  A lane
+    with nothing left to sum, or a zero sum, reads the sentinel row as m
+    and stands idle.  A tile of at least ``_SHED_LANES`` lanes drops its
+    idle lanes once half of them are idle.
+    """
+    t, width = J.shape[1:]
+    # rows t up to the lane's bit count are dead, and the next row is the
+    # sentinel that ``_lowest`` gives a lane with no bit set
+    pad = 8 * J.itemsize * width - t
+    L = np.concatenate([L, np.zeros((len(L), pad + 1), np.uint8)], axis=1).take(form, axis=0)
+    L[:, -1] = _NONE
+    J = np.concatenate([J, np.zeros((len(J), pad + 1, width), J.dtype)], axis=1).take(form, axis=0)
+    rows = L.shape[1]
+    mod4 = np.array([3] * (rows - 1) + [7], np.uint8)  # L mod 4, and the sentinel's 4 kept
+    alive, out = alive.copy(), np.zeros(len(alive), np.int64)
+    lanes, acc, size = np.arange(len(alive)), out.copy(), len(alive)
+    flat_l, flat_j, base = L.reshape(-1), J.reshape(-1, width), np.arange(0, size * rows, rows)
+    while True:
+        count = int(np.count_nonzero(alive if width == 1 else alive.any(axis=1)))
+        if not count:
+            out[lanes] = acc
+            return out
+        if size >= _SHED_LANES and 2 * count <= size:
+            # shed idle lanes down to a power of two, busy lanes first: exact
+            # counts would leave numpy's small-block cache one block per size
+            order = np.argsort(~alive.any(axis=1), kind="stable")
+            size = 1 << (count - 1).bit_length()
+            out[lanes.take(order[size:])] = acc.take(order[size:])
+            keep = order[:size]
+            lanes, acc, L, J, alive = (a.take(keep, axis=0) for a in (lanes, acc, L, J, alive))
+            flat_l, flat_j, base = L.reshape(-1), J.reshape(-1, width), base[:size]
+        m, bit = _lowest(alive)
+        alive ^= bit
+        at = base + m  # each lane's row m in flat_l and flat_j
+        nb = flat_j.take(at, axis=0) & alive
+        code = flat_l.take(at)
+        p, bit = _lowest(nb)
+        at = base + p
+        code += 5 * flat_l.take(at)
+        sub, tadd, nadd, jodd, live = _STEPS.take(code, axis=0).T
+        acc += _ACC.take(code)
+        bit *= sub[:, None]
+        alive ^= bit
+        alive *= live[:, None]
+        T = nb ^ bit
+        N = (flat_j.take(at, axis=0) & alive) * sub[:, None]
+        # the rows in T and N_p, with the dead and sentinel rows always 0
+        bt = np.unpackbits(T.view(np.uint8), axis=1, count=rows, bitorder="little")
+        bn = np.unpackbits(N.view(np.uint8), axis=1, count=rows, bitorder="little")
+        L += bt * tadd[:, None] + bn * (nadd[:, None] + 2 * bt)
+        L &= mod4
+        J ^= bn[..., None] * T[:, None] ^ bt[..., None] * (N ^ T * jodd[:, None])[:, None]
+
+
 def _z4_sum(L: list, J: list, alive: int):
     """sum over u in F2^alive of i^(sum_m L_m u_m + 2 sum_(m<n) J_mn u_m u_n).
 
     ``alive`` is the mask of the variables, ``L[m]`` an int (read mod 4)
-    and ``J[m]`` a mask of the n with J_mn = 1 (symmetric); both lists are
-    updated in place.  Only bits of variables still to be summed are ever
-    read, so bits outside ``alive`` and each row's own bit may hold
-    anything.  Returns (e, k) with the sum 2^(e/2) w^k, w = e^(i pi/4), or
-    None when it is 0.  The variables are summed out one at a time, the
-    highest first.  An odd L_m gives sqrt2 w^(2 - L_m) i^((L_m - 2) s),
-    s = parity(J_m . u), which moves L and J of m's neighbours; an even L_m
-    gives 2 [s = L_m/2], a constraint that replaces one neighbour, or 0
-    when m has none.
+    and ``J[m]`` a mask of the n with J_mn = 1 (symmetric), m < len(L).
+    Only bits of variables still to be summed are ever read, so bits
+    outside ``alive`` and each row's own bit may hold anything.  Returns
+    (e, k) with the sum 2^(e/2) w^k, w = e^(i pi/4), 0 <= k < 8, or None
+    when it is 0.  The variables are summed out one at a time, the lowest
+    first.  An odd L_m gives sqrt2 w^(2 - L_m) i^((L_m - 2) s),
+    s = parity(J_m . u), which moves L and J of m's neighbours: in Z4,
+    s = sum_nb u - 2 sum_(pairs in nb) u u.  An even L_m gives
+    2 [s = L_m/2], a constraint that substitutes one neighbour p,
+    u_p = c ^ parity(u_T) with c = L_m/2 and T the other neighbours:
+    L_p u_p = L_p c + L_p (1 - 2c) sum_T u - 2 L_p sum_(pairs in T) u u and
+    2 u_p u_n (n in N_p) = 2 c u_n + 2 sum_T u_n u_n'.  With no neighbour
+    the constraint is 0 = L_m/2, so the sum is 0 when L_m = 2.  The sum and
+    so (e, k) do not depend on the order.  One lane of ``_z4_lanes``.
     """
-    e = k = 0
-    while alive:
-        m = alive.bit_length() - 1
-        alive ^= 1 << m
-        lm, nb = L[m] & 3, J[m] & alive
-        if lm & 1:
-            # in Z4, s = sum_nb u - 2 sum_(pairs in nb) u u
-            e += 1
-            k += 2 - lm
-            lm -= 2
-            rest = nb
-            while rest:
-                bit = rest & -rest
-                n = bit.bit_length() - 1
-                L[n] += lm
-                J[n] ^= nb
-                rest ^= bit
-            continue
-        e += 2
-        if not nb:
-            if lm == 2:
-                return None
-            continue
-        # substitute u_p = c ^ parity(u_T):
-        # L_p u_p = L_p c + L_p (1 - 2c) sum_T u - 2 L_p sum_(pairs in T) u u
-        # and 2 u_p u_n (n in N_p) = 2 c u_n + 2 sum_T u_n u_n'
-        p_bit = nb & -nb
-        p = p_bit.bit_length() - 1
-        alive ^= p_bit
-        T, c = nb ^ p_bit, lm >> 1
-        lp, np_ = L[p] & 3, J[p] & alive
-        k += 2 * lp * c
-        # T's rows gain lt and toggle jt, N_p's gain ln and toggle T
-        lt, jt, ln = lp * (1 - 2 * c), np_ ^ T if lp & 1 else np_, 2 * c
-        rest = np_ | T
-        while rest:
-            bit = rest & -rest
-            n = bit.bit_length() - 1
-            if not bit & T:
-                L[n] += ln
-                J[n] ^= T
-            elif bit & np_:
-                L[n] += lt + ln + 2
-                J[n] ^= jt ^ T
-            else:
-                L[n] += lt
-                J[n] ^= jt
-            rest ^= bit
-    return e, k
+    t, full = len(L), (1 << len(L)) - 1
+    (acc,) = _z4_lanes(
+        np.array([[v & 3 for v in L]], np.uint8).reshape(1, t),
+        lane_words([j & full for j in J], t)[None],
+        np.zeros(1, np.intp),
+        lane_words([alive & full], t),
+    ).tolist()
+    return None if acc >= _ZERO else (acc >> 16, acc & 7)
 
 
-def product_overlaps(
-    state: QuadraticFormState, labels: Sequence[int], x: int = 0, z: int = 0
-) -> list:
-    """<phi_b| Z^z X^x |theta> for each label b, |phi_b> the product of |+>
-    on b's set bits and |0> elsewhere.
+def _bits(values: Sequence[int], t: int) -> np.ndarray:
+    """(len(values), t) uint8 bits of t-bit ints, bit q in column q."""
+    return np.unpackbits(lane_words(values, t).view(np.uint8), axis=1, count=t, bitorder="little")
+
+
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(..., t) bits as (..., width) ``lane_words`` words."""
+    t = bits.shape[-1]
+    size = lane_bytes(t) if t <= 64 else 8 * -(-t // 64)
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    short = size - packed.shape[-1]
+    if short:
+        packed = np.concatenate([packed, np.zeros((*packed.shape[:-1], short), np.uint8)], axis=-1)
+    return packed.view(f"<u{min(size, 8)}")
+
+
+class OverlapForms(NamedTuple):
+    """The Z4 forms of F (state, Pauli) pairs, as ``_z4_lanes`` reads them.
+
+    Form f has ``L[f]`` (t linear terms mod 4, uint8) and ``J[f]`` (t pair
+    masks, ``lane_words`` rows) over all t variables, pivots and checks.
+    A label b sums the variables ``pivots[f] & b`` and ``~pivots[f] & ~b``,
+    and its overlap is 2^((e - 2 |~pivots & ~b| - |b| - rank)/2) w^(k + phase)
+    for the sum's (e, k).
+    """
+
+    L: np.ndarray
+    J: np.ndarray
+    pivots: np.ndarray
+    rank: np.ndarray
+    phase: np.ndarray
+
+
+def overlap_forms(states: Sequence[QuadraticFormState], keys: Sequence) -> OverlapForms:
+    """The forms of <phi_b| Z^z X^x |theta> over all labels b, for every
+    state theta and Pauli (x, z) in ``keys``, state-major.
 
     X^x moves a0 to a = a0 ^ x, and Z^z adds a sign and flips q's diagonal
-    by parity(z & R_j).  Once per call, y = s ^ y' with s = a's pivot bits
+    by parity(z & R_j).  Once per form, y = s ^ y' with s = a's pivot bits
     adds s's rows to a, so that a is zero on the pivots: y' gains 2 in its
     i-phase at l_n s_n = 1 and at parity(q's pairs of n & s) = 1, and the
     sum one constant phase.  A support point's pivot bits are then y'
     itself, so a point inside b fixes y' = 0 off b, and each non-pivot
     column c outside b asks parity(y' & column c) = a_c.  Each such check
     enters the sum as one more variable v_c, through
-    [check] = 1/2 sum_v (-1)^(v (y' . column c + a_c)).  One Z4 form over
-    all t variables (pivots and checks) is built per call, and each label
-    restricts it to its free pivots and checks and sums it with
-    ``_z4_sum``: one O(t^2) form per state and Pauli, then one elimination
-    per label (Bravyi-Gosset, arXiv:1601.07601).
+    [check] = 1/2 sum_v (-1)^(v (y' . column c + a_c)).  So a pivot n has
+    L = l_n + 2 (q_nn (after Z^z) + l_n s_n + parity(q's pairs of n & s))
+    and J = q's pairs and its row's check columns, and a check c has
+    L = 2 a_c and J = the pivots of the rows through c (Bravyi-Gosset,
+    arXiv:1601.07601).  Every state is a t x t bit matrix with row j at
+    its pivot column, so all forms come from a few numpy calls, and the
+    products that only need parities run in uint8.
     """
-    t, rows = state.t, state.R
-    piv = [row & -row for row in rows]
-    pivots = sum(piv)
+    t, count, per = states[0].t, len(states), len(keys)
+    # t + 1 bit columns and t + 1 rows a state, each state's rows padded
+    # by rows 2^t for R and 0 for Q, so that row and column t read as zeros
+    values = [row for st in states for row in st.R + (1 << t,) * (t + 1 - len(st.R))]
+    values += [q for st in states for q in st.Q + (0,) * (t + 1 - len(st.Q))]
+    values += [st.l for st in states] + [st.a0 for st in states]
+    bits = _bits(values + [x for x, _ in keys] + [z for _, z in keys], t + 1)
+    R, Q = bits[:2 * count * (t + 1)].reshape(2, count, t + 1, t + 1)
+    l, a0 = bits[2 * count * (t + 1):2 * count * (t + 2)].reshape(2, count, t + 1)
+    x, z = bits[2 * count * (t + 2):, :t].reshape(2, per, t)
+    # column space: row_of[n] is the row whose pivot is column n, or t
+    at = np.arange(count)[:, None]
+    row_of = np.full((count, t + 1), t)
+    row_of[at, R.argmax(axis=2)] = np.arange(t + 1)
+    row_of = row_of[:, :t]
+    pivot = row_of < t
+    Rc, lin = R[at, row_of, :t], l[at, row_of][:, None]
+    Qc = Q[at[..., None], row_of[:, :, None], row_of[:, None, :]]
+    cols = np.arange(t)
+    upper, off = cols[:, None] < cols, cols[:, None] != cols
+    pairs = Qc & upper
+    sym = pairs | pairs.transpose(0, 2, 1)
+    checks = Rc & off
+    J = sym | checks | checks.transpose(0, 2, 1)
+    # per Pauli: a = a0 ^ x and its pivot bits s.  Products in uint8 are
+    # counts mod 256, and only their parities are read.  A pivot's L reads
+    # s @ sym and a check's L reads a ^ s @ R, which is 0 at every pivot,
+    # so one product over sym | R serves both
+    a = a0[:, None, :t] ^ x
+    s = a & pivot[:, None]
+    diag = Qc[:, cols, cols][:, None] ^ z @ Rc.transpose(0, 2, 1)
+    both = lin & s
+    L = (lin + 2 * (diag ^ both ^ a ^ s @ (sym | Rc))) & 3
+    # 2 |lin & s| + 4 (|diag & s| + s^T pairs s + |a & z|), mod 8
+    doubled = (s & (diag ^ s @ pairs.transpose(0, 2, 1))) ^ a & z
+    phase = (2 * both + 4 * doubled).sum(axis=-1) % 8
+    return OverlapForms(
+        L=L.reshape(count * per, t),
+        J=_pack(J).repeat(per, axis=0),
+        pivots=_pack(pivot).repeat(per, axis=0),
+        rank=np.array([len(st.R) for st in states], np.int64).repeat(per),
+        phase=phase.reshape(-1).astype(np.int64),
+    )
 
-    def cols(mask: int) -> int:
-        """a mask over the rows as the same mask over their pivots"""
-        out = 0
-        while mask:
-            bit = mask & -mask
-            out |= piv[bit.bit_length() - 1]
-            mask ^= bit
-        return out
 
-    a = state.a0 ^ x
-    sign, s = (z & a).bit_count() & 1, a & pivots
-    for p, row in zip(piv, rows):  # y = s ^ y': a gains s's rows
-        if p & s:
-            a ^= row
-    lin, diag = cols(state.l), 0
-    # const: the phase i^const that y = s ^ y' leaves; sym: q's pairs, both sides
-    const, sym = (lin & s).bit_count(), dict.fromkeys(piv, 0)
-    # the form: a pivot n has L = l_n + 2 (q_nn (after Z^z) + l_n s_n +
-    # parity(sym_n & s)) and J = q's pairs and its row's check columns; a
-    # check c has L = 2 a_c and J = column c
-    L0, J0 = [2 * ((a >> n) & 1) for n in range(t)], [0] * t
-    for j, (p, row, qj) in enumerate(zip(piv, rows, state.Q)):
-        n = p.bit_length() - 1
-        if ((qj >> j) ^ (z & row).bit_count()) & 1:
-            diag |= p
-        rest = cols(qj >> (j + 1) << (j + 1))
-        if p & s:
-            const += 2 * (rest & s).bit_count()
-        sym[p] |= rest  # complete: the rows before j have added theirs
-        L0[n] = (lin >> n & 1) + 2 * ((diag ^ lin & s) >> n & 1) + 2 * (sym[p] & s).bit_count()
-        J0[n] = sym[p] | row ^ p
-        while rest:
-            bit = rest & -rest
-            sym[bit] |= p
-            rest ^= bit
-        rest = row ^ p
-        while rest:
-            bit = rest & -rest
-            J0[bit.bit_length() - 1] |= p
-            rest ^= bit
-    const += 2 * (diag & s).bit_count()
+@functools.lru_cache(maxsize=64)
+def _scales(t: int) -> np.ndarray:
+    """2^(-n/2) for n = 0..3t, as Python's float power gives them."""
+    return np.array([2.0 ** (-n / 2) for n in range(3 * t + 1)])
 
-    out, others = [], ((1 << t) - 1) & ~pivots
-    for b in labels:
-        free, checks = pivots & b, others & ~b
-        summed = _z4_sum(L0[:], J0[:], free | checks)
-        if summed is None:
-            out.append(0j)
-            continue
-        e, k = summed
-        scale = 2.0 ** ((e - 2 * checks.bit_count() - b.bit_count() - len(rows)) / 2)
-        out.append(scale * _ROOTS8[(k + 2 * const + 4 * sign) % 8])
+
+def _form_sums(forms: OverlapForms, labels: np.ndarray, t: int) -> tuple:
+    """(n, phase, zero) arrays of shape (len(forms.L), len(labels)): every
+    overlap 2^(-n/2) w^phase, or 0, with the labels as ``lane_words``
+    rows.  Every label of every form is one lane of ``_z4_lanes``, in
+    tiles of ``lane_tile(t)`` lanes."""
+    count, width = labels.shape
+    size = len(forms.L) * count
+    checks = (forms.pivots ^ lane_words([(1 << t) - 1], t))[:, None] & ~labels
+    alive = ((forms.pivots[:, None] & labels) | checks).reshape(size, width)
+    shift = 2 * np.bitwise_count(checks).sum(axis=-1, dtype=np.int64)
+    shift += np.bitwise_count(labels).sum(axis=-1, dtype=np.int64) + forms.rank[:, None]
+    form, acc, tile = np.arange(len(forms.L)).repeat(count), np.empty(size, np.int64), lane_tile(t)
+    for lo in range(0, size, tile):
+        acc[lo:lo + tile] = _z4_lanes(forms.L, forms.J, form[lo:lo + tile], alive[lo:lo + tile])
+    acc = acc.reshape(shift.shape)
+    return shift - ((acc >> 16) & 0xFFFF), (acc + forms.phase[:, None]) & 7, acc >= _ZERO
+
+
+def form_overlaps(forms: OverlapForms, labels: np.ndarray, t: int) -> np.ndarray:
+    """(len(forms.L), len(labels)) complex128 overlaps, one row per form,
+    with the labels as ``lane_words`` rows; each value equals
+    ``product_overlaps``'."""
+    n, phase, zero = _form_sums(forms, labels, t)
+    out = _scales(t)[n] * _ROOTS8_LANES[phase]
+    out[zero] = 0
     return out
+
+
+def product_overlaps(
+    state: QuadraticFormState, labels: Sequence[int], x: int = 0, z: int = 0
+) -> list:
+    """<phi_b| Z^z X^x |theta> for each label b, |phi_b> the product of |+>
+    on b's set bits and |0> elsewhere: one form and one ``_form_sums``
+    call over its labels."""
+    t = state.t
+    n, phase, zero = _form_sums(overlap_forms([state], [(x, z)]), lane_words(labels, t), t)
+    return [0j if gone else 2.0 ** (-v / 2) * _ROOTS8[ph]
+            for v, ph, gone in zip(n[0].tolist(), phase[0].tolist(), zero[0].tolist())]

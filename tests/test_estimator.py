@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from stabsparse import bench, costmodel, dense, estimator, magic, masks
+from stabsparse import bench, costmodel, dense, estimator, magic, masks, quadform
 from stabsparse import stabilizer as sb
 
 PI4 = math.pi / 4
@@ -148,6 +148,65 @@ class TestFastnorm:
         assert est.value == pytest.approx(exact, rel=0.3)
         assert est.method == estimator.FASTNORM
         assert est.samples_used == 600
+
+    @pytest.mark.parametrize(
+        "m_samples, rng",
+        [
+            (5, None),  # no rng
+            (5, 7),  # a seed, not a Generator
+            (True, np.random.default_rng(0)),  # a bool is no sample count
+            (2.0, np.random.default_rng(0)),
+            (0, np.random.default_rng(0)),
+        ],
+    )
+    def test_bad_arguments_rejected(self, m_samples, rng):
+        d = magic.sample_iid(magic.magic_model(PI4, 3), 4, np.random.default_rng(6))
+        with pytest.raises(ValueError):
+            estimator.fastnorm(d, m_samples, rng)
+
+    @pytest.mark.parametrize("lane_entries", [None, 40])
+    def test_rng_pinned_after_a_chain_and_a_norm(self, monkeypatch, lane_entries):
+        # pins the rng right after a FASTNORM chain whose last step
+        # annihilates and right after a fastnorm call, recorded when every
+        # sample drew its state alone: sample chunks never draw a state they
+        # do not use, also at 40 lane entries (one sample a chunk, 6 lanes a tile)
+        if lane_entries:
+            monkeypatch.setattr(quadform, "_LANE_ENTRIES", lane_entries)
+        rng = np.random.default_rng(1901)
+        d = magic.sample_iid(magic.magic_model(PI4, 6), 5, rng)
+        circuit = sb.random_clifford_word(6, 30, rng)
+        z0, z1 = sb.PauliOperator.from_string("ZIIIII"), sb.PauliOperator.from_string("IZIIII")
+        est = estimator.pauli_prob(d, circuit, [(z0, 1), (z1, 1), (z0, -1)],
+                                   method=estimator.FASTNORM, fastnorm_samples=37, rng=rng)
+        assert est.step_values == (0.49705576983809635, 0.8873837950230609, 0.0)
+        assert rng.random() == 0.37769487598557583
+        assert estimator.fastnorm(d, 41, rng).value == 0.9921114813650289
+        assert rng.random() == 0.32390881348044187
+
+    @pytest.mark.parametrize("t", [16, 70])
+    def test_lanes_in_many_chunks_bit_equal(self, monkeypatch, t):
+        # one sample a chunk and 20 lanes a tile give the bits of one chunk in
+        # one tile (which sheds idle lanes), for Paulis with X and Z parts
+        rng = np.random.default_rng(1950 + t)
+        d = magic.sample_iid(magic.magic_model(PI4, t), 12, rng)
+        bits = [int.from_bytes(rng.bytes(9), "little") >> (72 - t) for _ in range(4)]
+        pauli_sum = {(0, 0): 0.5, (bits[0], bits[1]): 0.25j, (bits[2], 0): -0.5, (0, bits[3]): 0.5}
+        labels = magic.lane_words([b for b, _ in d.entries], t)
+        states = [quadform.random_stabilizer_state(t, rng) for _ in range(5)]
+        forms = quadform.overlap_forms(states, pauli_sum)
+
+        def run():
+            value = estimator._sampled_sqnorm(d, pauli_sum, 6, np.random.default_rng(7))
+            return value, quadform.form_overlaps(forms, labels, t)
+
+        assert 6 * len(pauli_sum) * d.k >= quadform._SHED_LANES
+        value, overlaps = run()
+        assert np.count_nonzero(overlaps) and not np.all(overlaps)
+        monkeypatch.setattr(quadform, "_LANE_ENTRIES", 20 * t * (1 if t <= 64 else 2))
+        assert quadform.lane_tile(t) == 20 and quadform.chunk_states(t, 4 * d.k) == 1
+        chunked_value, chunked = run()
+        assert chunked_value == value
+        assert np.array_equal(chunked.view(np.float64), overlaps.view(np.float64))
 
 
 class TestApproxError:
@@ -681,7 +740,7 @@ class TestGramKernel:
         for t, itemsize in cases:
             values = [0, (1 << t) - 1, 1 << (t - 1)]
             values += [int.from_bytes(rng.bytes(128), "little") >> (1024 - t) for _ in range(5)]
-            words = estimator._words(values, t)
+            words = magic.lane_words(values, t)
             assert words.dtype.kind == "u"
             assert words.dtype.itemsize == itemsize
             assert words.shape == (len(values), 1 if t <= 64 else -(-t // 64))
