@@ -26,7 +26,7 @@ import cmath
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -75,8 +75,6 @@ class MagicModel:
     xi_t: float
     l1: float
     p1: float
-    #: u0^(t-w) u1^w for w = 0..t: the phase of a term of Hamming weight w
-    phase_table: np.ndarray = field(repr=False, compare=False)
 
     @property
     def psi_1(self) -> tuple:
@@ -92,8 +90,8 @@ def magic_model(phi: float, t: int) -> MagicModel:
         raise ValueError("t must be at least 1")
     c0, c1 = per_bit_coefficients(phi)
     c0_mag, c1_mag = abs(c0), abs(c1)
-    u0 = complex(c0 / c0_mag if c0_mag > 0 else 1.0 + 0j)
-    u1 = complex(c1 / c1_mag if c1_mag > 0 else 1.0 + 0j)
+    u0 = c0 / c0_mag if c0_mag > 0 else 1.0 + 0j
+    u1 = c1 / c1_mag if c1_mag > 0 else 1.0 + 0j
     try:
         l1 = (c0_mag + c1_mag) ** t
     except OverflowError:
@@ -105,12 +103,11 @@ def magic_model(phi: float, t: int) -> MagicModel:
         t=t,
         c0_mag=c0_mag,
         c1_mag=c1_mag,
-        u0=u0,
-        u1=u1,
+        u0=complex(u0),
+        u1=complex(u1),
         xi_t=l1 * l1,
         l1=l1,
         p1=c1_mag / (c0_mag + c1_mag),
-        phase_table=np.array([u0 ** (t - w) * u1**w for w in range(t + 1)]),
     )
 
 
@@ -225,21 +222,21 @@ def _sample_entries(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
     At t <= 64 the seeds, shifts, weights and phases stay in the Gram kernel's
     ``lane_bytes`` lanes, and Python objects are made once, as the entries.
     """
-    t, table = model.t, model.phase_table
+    t = model.t
+    table = [model.u0 ** (t - w) * model.u1**w for w in range(t + 1)]
     try:
         packed = np.packbits(rng.random((m, t)) < model.p1, axis=1, bitorder="little")
         if t > 64:
             data, width = packed.tobytes(), packed.shape[1]
             seeds = [int.from_bytes(data[i:i + width], "little")
                      for i in range(0, len(data), width)]
-            table = table.tolist()
             return tuple((b, table[b.bit_count()]) for b in (s ^ d for s in seeds for d in shifts))
         size = lane_bytes(t)
         lanes = np.zeros((m, size), np.uint8)
         lanes[:, :packed.shape[1]] = packed
         seeds = lanes.view(f"<u{size}")
         labels = (seeds ^ np.array(shifts, seeds.dtype)).ravel()
-        phases = table[np.bitwise_count(labels)]
+        phases = np.array(table)[np.bitwise_count(labels)]
     except (MemoryError, ValueError):  # numpy refuses an array's size
         raise ValueError(f"cannot draw k = {m * len(shifts)} terms at t = {t}: "
                          "the draws do not fit in memory") from None

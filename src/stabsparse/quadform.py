@@ -10,9 +10,10 @@ builds one O(t^2) form per state and Pauli, with the Pauli's move of the
 support folded in once, for many states in a few numpy calls, and each
 term restricts a form to its own variables, with no per-term shift.
 ``form_overlaps`` sums every term of many forms in one numpy elimination
-whose lanes are the (form, term) pairs, at any t: fastnorm's only
-sampler.  ``product_overlaps`` and ``_z4_sum`` are its one-form and
-one-lane calls.  Bit q of an int is qubit q, as in ``stabilizer``.
+whose lanes are the (form, term) pairs, by one path at every t:
+fastnorm's only sampler.  ``product_overlaps`` and ``_z4_sum`` are its
+one-form and one-lane calls.  Bit q of an int is qubit q, as in
+``stabilizer``.
 """
 
 from __future__ import annotations
@@ -148,10 +149,10 @@ def chunk_states(t: int, lanes: int) -> int:
     return max(1, min(lane_tile(t) // max(lanes, 1), _LANE_ENTRIES // (t * t)))
 
 
-def _lowest(words: np.ndarray) -> tuple:
+def _lowest(words: np.ndarray, t: int) -> tuple:
     """(index, words of that bit alone) of each lane's lowest set bit, by
-    popcount of the bits below it; an empty lane's index is the lane's bit
-    count."""
+    popcount of the bits below it; an empty lane's index is its bit count in
+    one word, and t in several."""
     if words.shape[1] == 1:
         low = words & -words
         return np.bitwise_count(low[:, 0] - 1), low
@@ -161,7 +162,7 @@ def _lowest(words: np.ndarray) -> tuple:
     low = word & -word
     bit = np.zeros_like(words)
     bit[rows, w] = low
-    return 64 * w + np.bitwise_count(low - 1), bit
+    return np.minimum(64 * w + np.bitwise_count(low - 1), t), bit
 
 
 #: (e, k, zero) of a lane packed in one int64: k's sum in the low bits, e
@@ -210,17 +211,19 @@ def _z4_lanes(L: np.ndarray, J: np.ndarray, form: np.ndarray, alive: np.ndarray)
     shape: rows in a set T gain a shift in L and toggle a mask in J, rows
     in N_p gain 2c and toggle T (N_p is empty when L_m is odd).  A lane
     with nothing left to sum, or a zero sum, reads the sentinel row as m
-    and stands idle.  A tile of at least ``_SHED_LANES`` lanes drops its
-    idle lanes once half of them are idle.
+    and stands idle.  A lane's m only rises, so in lanes of several words a
+    pass rewrites only the rows and words from the tile's lowest m on.  A
+    tile of at least ``_SHED_LANES`` lanes drops its idle lanes once half
+    of them are idle.
     """
     t, width = J.shape[1:]
-    # rows t up to the lane's bit count are dead, and the next row is the
-    # sentinel that ``_lowest`` gives a lane with no bit set
-    pad = 8 * J.itemsize * width - t
-    L = np.concatenate([L, np.zeros((len(L), pad + 1), np.uint8)], axis=1).take(form, axis=0)
+    # the last row is the sentinel that ``_lowest`` gives a lane with no bit
+    # set, and the rows from t up to it are dead
+    rows = (8 * J.itemsize if width == 1 else t) + 1
+    extra = rows - t
+    L = np.concatenate([L, np.zeros((len(L), extra), np.uint8)], axis=1).take(form, axis=0)
     L[:, -1] = _NONE
-    J = np.concatenate([J, np.zeros((len(J), pad + 1, width), J.dtype)], axis=1).take(form, axis=0)
-    rows = L.shape[1]
+    J = np.concatenate([J, np.zeros((len(J), extra, width), J.dtype)], axis=1).take(form, axis=0)
     mod4 = np.array([3] * (rows - 1) + [7], np.uint8)  # L mod 4, and the sentinel's 4 kept
     alive, out = alive.copy(), np.zeros(len(alive), np.int64)
     lanes, acc, size = np.arange(len(alive)), out.copy(), len(alive)
@@ -239,12 +242,12 @@ def _z4_lanes(L: np.ndarray, J: np.ndarray, form: np.ndarray, alive: np.ndarray)
             keep = order[:size]
             lanes, acc, L, J, alive = (a.take(keep, axis=0) for a in (lanes, acc, L, J, alive))
             flat_l, flat_j, base = L.reshape(-1), J.reshape(-1, width), base[:size]
-        m, bit = _lowest(alive)
+        m, bit = _lowest(alive, t)
         alive ^= bit
         at = base + m  # each lane's row m in flat_l and flat_j
         nb = flat_j.take(at, axis=0) & alive
         code = flat_l.take(at)
-        p, bit = _lowest(nb)
+        p, bit = _lowest(nb, t)
         at = base + p
         code += 5 * flat_l.take(at)
         sub, tadd, nadd, jodd, live = _STEPS.take(code, axis=0).T
@@ -254,12 +257,19 @@ def _z4_lanes(L: np.ndarray, J: np.ndarray, form: np.ndarray, alive: np.ndarray)
         alive *= live[:, None]
         T = nb ^ bit
         N = (flat_j.take(at, axis=0) & alive) * sub[:, None]
-        # the rows in T and N_p, with the dead and sentinel rows always 0
-        bt = np.unpackbits(T.view(np.uint8), axis=1, count=rows, bitorder="little")
-        bn = np.unpackbits(N.view(np.uint8), axis=1, count=rows, bitorder="little")
-        L += bt * tadd[:, None] + bn * (nadd[:, None] + 2 * bt)
-        L &= mod4
-        J ^= bn[..., None] * T[:, None] ^ bt[..., None] * (N ^ T * jodd[:, None])[:, None]
+        # T and N_p lie above every lane's m, so in wide lanes only the rows
+        # r and words w from the lowest m on change (in one-word lanes the
+        # strided views would cost more than the rows they skip)
+        r = int(m.min()) if width > 1 else 0
+        w = r >> 6
+        T, N, first = T[:, w:], N[:, w:], r - 64 * w  # row r is bit `first` of word w
+        bt = np.unpackbits(T.view(np.uint8), axis=1, count=rows - 64 * w, bitorder="little")
+        bn = np.unpackbits(N.view(np.uint8), axis=1, count=rows - 64 * w, bitorder="little")
+        bt, bn = bt[:, first:], bn[:, first:]
+        L[:, r:] += bt * tadd[:, None] + bn * (nadd[:, None] + 2 * bt)
+        L[:, r:] &= mod4[r:]
+        J[:, r:, w:] ^= (bn[..., None] * T[:, None]
+                         ^ bt[..., None] * (N ^ T * jodd[:, None])[:, None])
 
 
 def _z4_sum(L: list, J: list, alive: int):
@@ -431,5 +441,8 @@ def product_overlaps(
     call over its labels."""
     t = state.t
     n, phase, zero = _form_sums(overlap_forms([state], [(x, z)]), lane_words(labels, t), t)
+    # Python's float times the int roots 1 and -1 keeps phases 0 and 4 as
+    # floats, as the per-label loop returned them; form_overlaps' complex128
+    # holds the same values but not those types
     return [0j if gone else 2.0 ** (-v / 2) * _ROOTS8[ph]
             for v, ph, gone in zip(n[0].tolist(), phase[0].tolist(), zero[0].tolist())]

@@ -278,6 +278,25 @@ class TestProductOverlaps:
             noisy = [v if (alive >> m) & 1 else int(rng.integers(-8, 8)) for m, v in enumerate(L)]
             assert qf._z4_sum(noisy, junk, alive) == qf._z4_sum(list(L), list(J), alive)
 
+    def test_z4_sum_spread_over_wide_lanes(self):
+        # d variables scattered over t > 64 bits (words and rows skipped
+        # below the lowest one, the empty-lane index past the last word's
+        # bit at t = 150) give the same (e, k) as the same sum packed low
+        rng = np.random.default_rng(330)
+        for t in (70, 128, 150):
+            for _ in range(60):
+                d = int(rng.integers(0, 9))
+                at = sorted(int(q) for q in rng.choice(t, size=d, replace=False))
+                L = [int(v) for v in rng.integers(0, 4, size=d)]
+                upper = np.triu(rng.integers(0, 2, size=(d, d)), 1)
+                J = [sum(int(upper[m, n] | upper[n, m]) << n for n in range(d)) for m in range(d)]
+                wide_l, wide_j = [0] * t, [0] * t
+                for m, q in enumerate(at):
+                    wide_l[q] = L[m]
+                    wide_j[q] = sum(1 << at[n] for n in range(d) if (J[m] >> n) & 1)
+                alive = sum(1 << q for q in at)
+                assert qf._z4_sum(wide_l, wide_j, alive) == qf._z4_sum(L, J, (1 << d) - 1)
+
     def test_z4_sum_matches_enumeration(self):
         rng = np.random.default_rng(320)
         for _ in range(400):
