@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -216,6 +217,39 @@ class TestMaskTimingAndCostMap:
         # at fixed small t and delta -> 0 the supplement count round(10
         # delta xi) collapses to zero and the finite-t column shows no gain
         assert rows[0].f_t == 0
+
+
+class TestFrontEndPin:
+    # sha256 over what the front ends write for fixed seeds: sparsify JSON in
+    # every mode (with and without --k), the metric columns of both bench
+    # experiments, and the default cost map.  Any change to a plan, a draw or
+    # a table writer moves it.
+    PIN = "7db6744aea35fae5b71875f91f8b90e72489754b37f69dc02471f3dde9f86be6"
+
+    def test_outputs_pinned(self, tmp_path, capsys):
+        digest = hashlib.sha256()
+        runs = [["--t", str(t), "--seed", str(seed)] for t in (4, 8, 16) for seed in (1, 2)]
+        runs.append(["--t", "8", "--seed", "1", "--k", "10"])
+        for mode in ("iid", "theorem1", "theorem2"):
+            for flags in runs:
+                out = tmp_path / "d.json"
+                argv = ["sparsify", "--delta", "0.3", "--mode", mode, "--out", str(out)]
+                assert cli.main(argv + flags) == 0
+                digest.update(out.read_bytes())
+        for argv in (
+            ["bench", "sparsify-stats", "--t", "4,8,16", "--delta", "0.4,0.3",
+             "--trials", "20", "--seed", "3"],
+            ["bench", "worst-case", "--t", "4,8", "--delta", "0.4", "--trials", "10",
+             "--cliffords", "50", "--seed", "3"],
+        ):
+            out = tmp_path / "b.csv"
+            assert cli.main(argv + ["--out", str(out)]) == 0
+            digest.update(repr(bench.read_metric_columns(str(out))).encode())
+        out = tmp_path / "cost.csv"
+        assert cli.main(["cost", "--out", str(out)]) == 0
+        digest.update(out.read_bytes())
+        capsys.readouterr()
+        assert digest.hexdigest() == self.PIN
 
 
 class TestCliParsing:
