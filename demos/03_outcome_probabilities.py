@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from stabsparse import bench, estimator, magic, masks
+from stabsparse import bench, estimator, magic
 from stabsparse import stabilizer as sb
 
 T = 4
@@ -19,10 +19,8 @@ DELTA = 0.2
 rng = np.random.default_rng(7)
 
 model = magic.magic_model(math.pi / 4, T)
-mask_set = masks.generate_masks_pow2(T)
-plan = bench.theorem1_plan(model, DELTA, mask_set)
-decomp = magic.sample_correlated(model, mask_set, plan.f_t, plan.k_correlated, rng)
-print(f"sparsified decomposition: k = {decomp.k} terms (f_t = {plan.f_t}), "
+decomp, _ = bench.sparsify(model, DELTA, "theorem1", rng)
+print(f"sparsified decomposition: k = {decomp.k} terms (f_t = {decomp.f_t}), "
       f"versus 2^{T} = {2**T} exact terms")
 
 circuit = sb.random_clifford_word(T, 1000, rng)

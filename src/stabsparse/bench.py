@@ -1,5 +1,8 @@
 """Deterministic, seedable benchmark harness with CSV output.
 
+``sparsify`` is the one place a mode name ("iid", "theorem1" or
+"theorem2") becomes a term count or plan and a draw; the CLI and every
+experiment here draw through it.  ``write_csv`` writes every table.
 Each experiment expands into (cell, trial) work items; a trial's random
 stream is derived from (master seed, cell index, trial index), so results
 are bit-identical for a given seed regardless of the worker count or
@@ -45,24 +48,17 @@ class ExperimentRecord:
     metrics: dict = field(default_factory=dict)
 
     def row(self, metric_names: Sequence[str]) -> list:
-        head = [
-            self.experiment, self.mode, repr(self.phi), self.t, repr(self.delta),
-            self.k, self.f_t, self.trial, self.master_seed,
-        ]
-        return head + [_fmt(self.metrics.get(name)) for name in metric_names]
+        return ([_fmt(getattr(self, name)) for name in HEAD_COLUMNS]
+                + [_fmt(self.metrics.get(name)) for name in metric_names])
 
 
-HEAD_COLUMNS = (
-    "experiment", "mode", "phi", "t", "delta", "k", "f_t", "trial", "master_seed",
-)
+HEAD_COLUMNS = tuple(f.name for f in fields(ExperimentRecord) if f.name != "metrics")
 
 
 def _fmt(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def trial_rng(master_seed: int, cell: int, trial: int) -> np.random.Generator:
@@ -100,12 +96,11 @@ def _run_grid(
     return [out[key] for key in sorted(out)]
 
 
-def write_csv(path: str, records: Sequence[ExperimentRecord], metric_names: Sequence[str]) -> None:
+def write_csv(path: str, header: Sequence[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(HEAD_COLUMNS) + list(metric_names))
-        for rec in records:
-            writer.writerow(rec.row(metric_names))
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_metric_columns(path: str) -> list:
@@ -178,6 +173,24 @@ def default_masks(t: int, f_required: int) -> masks.MaskSet:
     return masks.generate_masks_even(t)
 
 
+def sparsify(model: magic.MagicModel, delta: float, mode: str, rng,
+             k: Optional[int] = None) -> tuple:
+    """(decomposition, gamma): one draw of the "iid", "theorem1" or "theorem2"
+    ensemble at the count its rule gives for delta, or at k terms if given.
+
+    i.i.d. draws take ``costmodel.k_theorem1`` at gamma = 1; the correlated
+    modes draw their plan's groups over ``default_masks``.
+    """
+    if mode == "iid":
+        k = costmodel.k_theorem1(model.xi_t, delta, 1.0) if k is None else k
+        return magic.sample_iid(model, k, rng), 1.0
+    plan_of, tag = {"theorem1": (theorem1_plan, magic.THEOREM1),
+                    "theorem2": (theorem2_plan, magic.THEOREM2)}[mode]
+    plan = plan_of(model, delta, default_masks(model.t, 2 * model.t - 1))
+    k = plan.k_correlated if k is None else k
+    return magic.sample_correlated(model, plan.mask_set, plan.f_t, k, rng, mode=tag), plan.gamma
+
+
 # ---------------------------------------------------------------------------
 # experiment: sparsify-stats
 # ---------------------------------------------------------------------------
@@ -190,18 +203,7 @@ def _sparsify_trial(cell, cell_idx, trial_idx, master_seed):
     rng = trial_rng(master_seed, cell_idx, trial_idx)
     model = magic.magic_model(phi, t)
     t0 = time.perf_counter_ns()
-    if mode == "iid":
-        k = costmodel.k_theorem1(model.xi_t, delta, 1.0)
-        decomp = magic.sample_iid(model, k, rng)
-        gamma = 1.0
-        f_t = 0
-    else:
-        plan = theorem1_plan(model, delta, default_masks(t, 2 * t - 1))
-        decomp = magic.sample_correlated(
-            model, plan.mask_set, plan.f_t, plan.k_correlated, rng
-        )
-        gamma = plan.gamma
-        f_t = plan.f_t
+    decomp, gamma = sparsify(model, delta, mode, rng)
     sqnorm = estimator.exact_sqnorm(decomp).value
     err2 = sqnorm - 2.0 * estimator.target_overlap(decomp, model).real + 1.0  # ||psi - Psi||^2
     wall = time.perf_counter_ns() - t0
@@ -211,7 +213,7 @@ def _sparsify_trial(cell, cell_idx, trial_idx, master_seed):
     }
     return ExperimentRecord(
         experiment="sparsify-stats", mode=mode, phi=phi, t=t, delta=delta,
-        k=decomp.k, f_t=f_t, trial=trial_idx, master_seed=master_seed,
+        k=decomp.k, f_t=decomp.f_t, trial=trial_idx, master_seed=master_seed,
         metrics=metrics,
     )
 
@@ -228,7 +230,8 @@ def run_sparsify_stats(
     cells = [(phi, t, d, mode) for t in ts for d in deltas for mode in ("iid", "theorem1")]
     records = _run_grid(_sparsify_trial, cells, trials, seed, workers)
     if out:
-        write_csv(out, records, SPARSIFY_METRICS)
+        write_csv(out, HEAD_COLUMNS + SPARSIFY_METRICS,
+                  (r.row(SPARSIFY_METRICS) for r in records))
     return records
 
 
@@ -276,20 +279,14 @@ def _worst_case_trial(cell, cell_idx, trial_idx, master_seed):
     s2 = 1 if rng.integers(2) else -1
     chain = [(p1, s1), (p2, s2)]
 
-    k_iid = costmodel.k_sota(model.xi_t, delta)
-    plan = theorem2_plan(model, delta, default_masks(t, 2 * t - 1))
-
-    d_iid = magic.sample_iid(model, k_iid, rng)
-    d_corr = magic.sample_correlated(
-        model, plan.mask_set, plan.f_t, plan.k_correlated, rng,
-        mode=magic.THEOREM2,
-    )
+    d_iid, _ = sparsify(model, delta, "iid", rng, k=costmodel.k_sota(model.xi_t, delta))
+    d_corr, _ = sparsify(model, delta, "theorem2", rng)
     truth = estimator.target_prob(model, circuit, chain)
 
     metrics = {
         "p_true": truth.value,
         "outcome1": s1, "outcome2": s2,
-        "k_iid": k_iid, "k_corr": d_corr.k,
+        "k_iid": d_iid.k, "k_corr": d_corr.k,
     }
     for label, decomp in (("iid", d_iid), ("corr", d_corr)):
         est = estimator.pauli_prob(decomp, circuit, chain)
@@ -300,7 +297,7 @@ def _worst_case_trial(cell, cell_idx, trial_idx, master_seed):
     metrics["wall_ns"] = time.perf_counter_ns() - t0
     return ExperimentRecord(
         experiment="worst-case", mode="both", phi=phi, t=t, delta=delta,
-        k=d_corr.k, f_t=plan.f_t, trial=trial_idx, master_seed=master_seed,
+        k=d_corr.k, f_t=d_corr.f_t, trial=trial_idx, master_seed=master_seed,
         metrics=metrics,
     )
 
@@ -318,7 +315,8 @@ def run_worst_case(
     cells = [(phi, t, d, n_cliffords) for t in ts for d in deltas]
     records = _run_grid(_worst_case_trial, cells, trials, seed, workers)
     if out:
-        write_csv(out, records, WORST_CASE_METRICS)
+        write_csv(out, HEAD_COLUMNS + WORST_CASE_METRICS,
+                  (r.row(WORST_CASE_METRICS) for r in records))
     return records
 
 
@@ -352,26 +350,21 @@ def run_mask_timing(
     out: Optional[str] = None,
 ) -> list:
     records = []
-    for idx, t in enumerate(ts):
+    for t in ts:
         best = math.inf
         for _ in range(repeats):
             t0 = time.perf_counter()
-            mask_set = masks.generate_masks_pow2(t)
+            count = len(masks.generate_masks_pow2(t))
             best = min(best, time.perf_counter() - t0)
-        records.append(
-            ExperimentRecord(
-                experiment="mask-timing", mode="pow2", phi=0.0, t=t, delta=0.0,
-                k=len(mask_set), f_t=len(mask_set), trial=0, master_seed=0,
-                metrics={
-                    "count": len(mask_set),
-                    "total_seconds": best,
-                    "seconds_per_mask": best / len(mask_set),
-                    "wall_ns": int(best * 1e9),
-                },
-            )
-        )
+        records.append(ExperimentRecord(
+            experiment="mask-timing", mode="pow2", phi=0.0, t=t, delta=0.0,
+            k=count, f_t=count, trial=0, master_seed=0,
+            metrics={"count": count, "total_seconds": best,
+                     "seconds_per_mask": best / count, "wall_ns": int(best * 1e9)},
+        ))
     if out:
-        write_csv(out, records, MASK_TIMING_METRICS)
+        write_csv(out, HEAD_COLUMNS + MASK_TIMING_METRICS,
+                  (r.row(MASK_TIMING_METRICS) for r in records))
     return records
 
 
@@ -407,17 +400,9 @@ def run_cost_map(
             gamma = None
             if t >= 2 and t % 2 == 0:
                 model = magic.magic_model(phi, t)
-                mask_set = default_masks(t, 2 * t - 1)
-                f_t = min(costmodel.f_t_optimal(delta, model.xi_t), len(mask_set))
-                gamma = magic.gamma_bound(model, mask_set, f_t)
-            point = costmodel.cost_point(
-                t, delta, model1.xi_t, gamma=gamma, chi_table=chi_table
-            )
-            rows.append(point)
+                gamma = theorem2_plan(model, delta, default_masks(t, 2 * t - 1)).gamma
+            rows.append(costmodel.cost_point(t, delta, model1.xi_t, gamma, chi_table))
     if out:
-        with open(out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(COST_MAP_COLUMNS)
-            for p in rows:
-                writer.writerow([_fmt(getattr(p, name)) for name in COST_MAP_COLUMNS])
+        write_csv(out, COST_MAP_COLUMNS,
+                  ([_fmt(getattr(p, name)) for name in COST_MAP_COLUMNS] for p in rows))
     return rows

@@ -1,15 +1,17 @@
 """Command-line front end.
 
 Subcommands: gen-masks, sparsify, estimate, cost and bench (with the
-experiment runners sparsify-stats, worst-case and mask-timing).
+experiment runners sparsify-stats, worst-case and mask-timing); every
+draw goes through ``bench.sparsify``.
 Exit codes: 0 on success; 2 for an argparse usage error (a missing or
 unknown option, or a value of the wrong type); 3 for any value rejected
 after parsing (a bad angle, delta, t, Pauli chain or mask size, an empty
-range or step count, a bench trial, thread or gate count out of range, a
-term count too large to draw, a decomposition with no terms, a prefactor
-that is not finite and positive or a phase that is not a finite unit phase,
-or an input or output path that cannot be read, written or parsed),
-reported as one ``error:`` line.
+range, a step count below 1 or too large for memory, a bench trial, thread
+or gate count out of range, a term count too large to draw, a decomposition
+with no terms or a negative f_t, a prefactor that is not finite and
+positive or a phase that is not a finite unit phase, or an input or output
+path that cannot be read, written or parsed), reported as one ``error:``
+line.
 """
 
 from __future__ import annotations
@@ -63,7 +65,10 @@ def parse_float_list(text: str, steps: int = 13) -> list:
             hi, lo = (float(v) for v in part.split(".."))
             if not (0.0 < hi <= 1.0 and 0.0 < lo <= 1.0):
                 raise ValueError(f"delta range {part!r} must lie in (0, 1]")
-            out.extend(np.geomspace(hi, lo, steps).tolist())
+            try:
+                out.extend(np.geomspace(hi, lo, steps).tolist())
+            except MemoryError:  # numpy refuses the array's size
+                raise ValueError(f"delta step count {steps} does not fit in memory") from None
         else:
             out.append(float(part))
     return out
@@ -100,23 +105,9 @@ def cmd_gen_masks(args) -> int:
 
 
 def cmd_sparsify(args) -> int:
-    phi = parse_phi(args.phi)
-    model = magic.magic_model(phi, args.t)
+    model = magic.magic_model(parse_phi(args.phi), args.t)
     rng = np.random.default_rng(args.seed)
-    if args.mode == "iid":
-        k = costmodel.k_theorem1(model.xi_t, args.delta, 1.0) if args.k is None else args.k
-        decomp = magic.sample_iid(model, k, rng)
-    else:
-        mask_set = bench.default_masks(args.t, 2 * args.t - 1)
-        if args.mode == "theorem1":
-            plan = bench.theorem1_plan(model, args.delta, mask_set)
-        else:
-            plan = bench.theorem2_plan(model, args.delta, mask_set)
-        k = plan.k_correlated if args.k is None else args.k
-        decomp = magic.sample_correlated(
-            model, mask_set, plan.f_t, k, rng,
-            mode=magic.THEOREM1 if args.mode == "theorem1" else magic.THEOREM2,
-        )
+    decomp, _ = bench.sparsify(model, args.delta, args.mode, rng, args.k)
     if args.out:
         decomp.save(args.out)
     print(
@@ -171,26 +162,25 @@ def cmd_cost(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.experiment == "sparsify-stats":
-        records = bench.run_sparsify_stats(
-            parse_phi(args.phi), parse_int_range(args.t),
-            parse_float_list(args.delta), args.trials, args.seed,
-            workers=args.threads, out=args.out,
-        )
-        for key, row in bench.summarize_sparsify(records).items():
-            print(key, row)
-    elif args.experiment == "worst-case":
-        records = bench.run_worst_case(
-            parse_int_range(args.t), parse_float_list(args.delta),
-            args.cliffords, args.trials, args.seed,
-            phi=parse_phi(args.phi), workers=args.threads, out=args.out,
-        )
-        for key, row in bench.summarize_worst_case(records).items():
-            print(key, row)
-    elif args.experiment == "mask-timing":
+    if args.experiment == "mask-timing":
         records = bench.run_mask_timing(parse_int_range(args.t), out=args.out)
         if len({r.t for r in records}) >= 2:
             print(f"fitted per-mask exponent: {bench.timing_exponent(records):.3f}")
+        return 0
+    if args.experiment == "sparsify-stats":
+        summary = bench.summarize_sparsify(bench.run_sparsify_stats(
+            parse_phi(args.phi), parse_int_range(args.t),
+            parse_float_list(args.delta), args.trials, args.seed,
+            workers=args.threads, out=args.out,
+        ))
+    else:
+        summary = bench.summarize_worst_case(bench.run_worst_case(
+            parse_int_range(args.t), parse_float_list(args.delta),
+            args.cliffords, args.trials, args.seed,
+            phi=parse_phi(args.phi), workers=args.threads, out=args.out,
+        ))
+    for key, row in summary.items():
+        print(key, row)
     return 0
 
 

@@ -132,11 +132,19 @@ class SparseDecomposition:
     entries: tuple  # of (bitstring int, complex unit phase)
     mode: str
     f_t: int = 0
-    groups: tuple = ()  # of (seed entry index, member index range length f_t+1)
 
     def __post_init__(self):
         if len(self.entries) != self.k:
             raise ValueError("entry count must equal k")
+        if self.f_t < 0:
+            raise ValueError(f"f_t must be nonnegative, got f_t = {self.f_t}")
+
+    @property
+    def groups(self) -> tuple:
+        """(first entry index, f_t + 1) per seed group of a correlated draw; () for i.i.d."""
+        if self.mode == IID:
+            return ()
+        return tuple((start, self.f_t + 1) for start in range(0, self.k, self.f_t + 1))
 
     def phases(self) -> np.ndarray:
         return np.array([ph for _, ph in self.entries], dtype=np.complex128)
@@ -185,7 +193,6 @@ class SparseDecomposition:
                 entries=entries,
                 mode=data["mode"],
                 f_t=int(data.get("f_t", 0)),
-                groups=tuple(tuple(g) for g in data.get("groups", [])),
             )
         except (KeyError, IndexError, TypeError) as exc:
             msg = f"malformed decomposition JSON ({type(exc).__name__}: {exc})"
@@ -286,18 +293,15 @@ def sample_correlated(
             "phi = pi/4 (p1 = 1/2); the correlated ensemble is biased",
             stacklevel=2,
         )
-    size = f_t + 1
     shifts = (0,) + tuple(masks.masks[:f_t])
-    entries = _sample_entries(model, -(-k_total // size), rng, shifts)
-    k = len(entries)
+    entries = _sample_entries(model, -(-k_total // (f_t + 1)), rng, shifts)
     return SparseDecomposition(
         t=model.t,
-        k=k,
-        prefactor=model.l1 / k,
+        k=len(entries),
+        prefactor=model.l1 / len(entries),
         entries=entries,
         mode=mode,
         f_t=f_t,
-        groups=tuple((start, size) for start in range(0, k, size)),
     )
 
 

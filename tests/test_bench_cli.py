@@ -436,6 +436,20 @@ class TestCliCommands:
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
         assert not out.exists()
 
+    def test_delta_steps_beyond_memory_exit_3(self, monkeypatch, tmp_path, capsys):
+        # numpy raises MemoryError for a grid it cannot allocate (ValueError
+        # only past the address space); refuse it here without allocating
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB")
+
+        monkeypatch.setattr(np, "geomspace", refuse)
+        out = tmp_path / "cost.csv"
+        assert cli.main(["cost", "--t", "4", "--delta", "0.3..0.001",
+                         "--delta-steps", "10000000000000", "--out", str(out)]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "10000000000000" in err[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, code", [
         (["cost", "--t", "300..310,350"], 0),
         (["sparsify", "--t", "400", "--mode", "theorem2", "--delta", "0.3"], 3),
@@ -510,27 +524,29 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "entries" in err and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("t, k, x, prefactor, phase, needle", [
-        (4, 1, "1f", 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
-        (4, 1, "-1", 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
-        (4, 1, "f" * 20, 1.0, [1.0, 0.0], "does not fit in t = 4 bits"),
-        (0, 1, "0", 1.0, [1.0, 0.0], "t >= 1"),
-        (-3, 1, "0", 1.0, [1.0, 0.0], "t >= 1"),
+    @pytest.mark.parametrize("t, k, x, prefactor, phase, needle, f_t", [
+        (4, 1, "1f", 1.0, [1.0, 0.0], "does not fit in t = 4 bits", 0),
+        (4, 1, "-1", 1.0, [1.0, 0.0], "does not fit in t = 4 bits", 0),
+        (4, 1, "f" * 20, 1.0, [1.0, 0.0], "does not fit in t = 4 bits", 0),
+        (0, 1, "0", 1.0, [1.0, 0.0], "t >= 1", 0),
+        (-3, 1, "0", 1.0, [1.0, 0.0], "t >= 1", 0),
         # json writes these as NaN and Infinity, and json.load reads them back
-        (1, 1, "0", float("nan"), [1.0, 0.0], "prefactor nan is not finite"),
-        (1, 1, "0", 1.0, [float("inf"), 0.0], "phase (inf+0j) of bitstring 0 is not finite"),
+        (1, 1, "0", float("nan"), [1.0, 0.0], "prefactor nan is not finite", 0),
+        (1, 1, "0", 1.0, [float("inf"), 0.0], "phase (inf+0j) of bitstring 0 is not finite", 0),
         # each of these used to read probability 0.0 and exit 0
-        (1, 0, "0", 1.0, [1.0, 0.0], "k >= 1 entries, got k = 0"),
-        (1, 1, "0", 0.0, [1.0, 0.0], "prefactor 0.0 is not finite and positive"),
-        (1, 1, "0", 1.0, [1e200, 1e200], "is not a unit phase"),
+        (1, 0, "0", 1.0, [1.0, 0.0], "k >= 1 entries, got k = 0", 0),
+        (1, 1, "0", 0.0, [1.0, 0.0], "prefactor 0.0 is not finite and positive", 0),
+        (1, 1, "0", 1.0, [1e200, 1e200], "is not a unit phase", 0),
+        # groups are derived from f_t, and a negative f_t used to load
+        (1, 1, "0", 1.0, [1.0, 0.0], "f_t must be nonnegative, got f_t = -1", -1),
     ], ids=["bits-above-t", "negative-bits", "twenty-hex-digits", "t-zero", "t-negative",
          "prefactor-nan", "phase-infinite", "k-zero-no-entries", "prefactor-zero",
-         "phase-not-unit"])
+         "phase-not-unit", "f-t-negative"])
     def test_estimate_malformed_decomposition_exit_3(self, t, k, x, prefactor, phase, needle,
-                                                     tmp_path, capsys):
+                                                     f_t, tmp_path, capsys):
         decomp_path = tmp_path / "d.json"
         decomp_path.write_text(json.dumps({
-            "t": t, "k": k, "prefactor": prefactor, "mode": "IID",
+            "t": t, "k": k, "prefactor": prefactor, "mode": "IID", "f_t": f_t,
             "entries": [{"x": x, "phase": phase}] * k,
         }))
         paulis = "Z" * max(t, 1) + ",+"
