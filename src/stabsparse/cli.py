@@ -41,17 +41,17 @@ def parse_phi(text: str) -> float:
     return float(text)
 
 
-def parse_int_range(text: str) -> list:
-    """'4' or '4,8,16' or '2..6' (inclusive, and not empty)."""
+def parse_int_range(text: str, check=lambda end: None) -> list:
+    """'4' or '4,8,16' or '2..6' (inclusive, and not empty); ``check`` vets
+    both ends of every range before the range is expanded."""
     out = []
     for part in text.split(","):
-        if ".." in part:
-            lo, hi = (int(v) for v in part.split(".."))
-            if hi < lo:
-                raise ValueError(f"range {part!r} is empty: it ends below its start")
-            out.extend(range(lo, hi + 1))
-        else:
-            out.append(int(part))
+        lo, hi = (int(v) for v in part.split("..")) if ".." in part else (int(part),) * 2
+        if hi < lo:
+            raise ValueError(f"range {part!r} is empty: it ends below its start")
+        check(lo)
+        check(hi)
+        out.extend(range(lo, hi + 1))
     return out
 
 
@@ -148,7 +148,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    ts = parse_int_range(args.t)
+    ts = parse_int_range(args.t, costmodel.check_t)
     deltas = parse_float_list(args.delta, args.delta_steps)
     chi_table = costmodel.CHI_TABLE if args.chi_table else None
     bench.run_cost_map(ts, deltas, parse_phi(args.phi), out=args.out, chi_table=chi_table)

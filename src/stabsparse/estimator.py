@@ -82,10 +82,10 @@ _SIGNS = np.array([1.0, -1.0])
 
 
 def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
-    """Packed bits and k x 2 rows [Re, Im] of r_b * scale * phase, with
-    r_b = 2^((h - |b|)/2) as ``_gram`` takes them, sorted by (bits, Re, Im)
-    so that a Gram sum is independent of the entry order."""
-    bits = lane_words([x for x, _ in decomp.entries], decomp.t)
+    """The decomposition's label rows and k x 2 rows [Re, Im] of r_b * scale
+    * phase, r_b = 2^((h - |b|)/2) as ``_gram`` takes them, both sorted by
+    (bits, Re, Im) so that a Gram sum is independent of the term order."""
+    bits = decomp.labels
     ri = (decomp.phases() * scale).view(np.float64).reshape(-1, 2)
     order = np.lexsort((ri[:, 1], ri[:, 0], *bits.T))
     bits, ri = bits[order], ri[order]
@@ -238,7 +238,7 @@ def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int
     t = decomp.t
     if t > 1024:
         raise ValueError("fastnorm's 2^t scaling covers t <= 1024")
-    labels, phases = lane_words([b for b, _ in decomp.entries], t), decomp.phases()
+    labels, phases = decomp.labels, decomp.phases()
     keys, coeffs = list(pauli_sum), list(pauli_sum.values())
     per = chunk_states(t, len(keys) * len(labels))
     total = 0.0
@@ -421,4 +421,5 @@ def target_overlap(decomp: SparseDecomposition, model: MagicModel) -> complex:
     v0, v1 = model.psi_1
     a, b = v0.conjugate(), (v0 + v1).conjugate() / math.sqrt(2.0)
     table = [a ** (model.t - w) * b**w for w in range(model.t + 1)]
-    return decomp.prefactor * sum(ph * table[bits.bit_count()] for bits, ph in decomp.entries)
+    weights = np.bitwise_count(decomp.labels).sum(axis=1).tolist()
+    return decomp.prefactor * sum(ph * table[w] for ph, w in zip(decomp.phases().tolist(), weights))

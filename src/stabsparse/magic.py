@@ -18,15 +18,18 @@ the stabilizer extent of the tensor power.
 ``sample_correlated`` supplements each seed with f_t masked variants at
 pairwise Hamming distance >= t/2, which raises the cross-term constant
 gamma above 1 and lowers the number of terms needed for a target error.
+Both give a ``SparseDecomposition`` its terms as arrays, ``lane_words``
+label rows and complex128 phases, with no Python object per term.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -122,22 +125,49 @@ def dense_target(model: MagicModel) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class SparseDecomposition:
-    """A k-term approximation (l1/k) * sum_i phase_i |product(x_i)>."""
+    """A k-term approximation (l1/k) * sum_i phase_i |product(x_i)>.
+
+    The terms are two read-only arrays: ``labels``, the x_i as (k, width)
+    ``lane_words`` rows, and ``phases()``, k complex128 unit phases, kept as
+    given (and made read-only) or built from ``entries=``, (bitstring int,
+    complex phase) pairs, which is also the view ``entries`` builds once, on
+    first use.  Decompositions are equal when every field and term is.
+    """
 
     t: int
     k: int
     prefactor: float
-    entries: tuple  # of (bitstring int, complex unit phase)
     mode: str
-    f_t: int = 0
+    f_t: int
+    labels: np.ndarray
+    _phases: np.ndarray
 
-    def __post_init__(self):
-        if len(self.entries) != self.k:
+    def __init__(self, t, k, prefactor, entries=None, mode=IID, f_t=0, *, labels=None, phases=None):
+        if entries is not None:
+            labels = lane_words([x for x, _ in entries], t)
+            phases = np.array([ph for _, ph in entries], np.complex128)
+        if len(labels) != k or len(phases) != k:
             raise ValueError("entry count must equal k")
-        if self.f_t < 0:
-            raise ValueError(f"f_t must be nonnegative, got f_t = {self.f_t}")
+        if f_t < 0:
+            raise ValueError(f"f_t must be nonnegative, got f_t = {f_t}")
+        labels.setflags(write=False)
+        phases.setflags(write=False)
+        # past the frozen __setattr__, as a dataclass __init__ would
+        vars(self).update(t=t, k=k, prefactor=prefactor, mode=mode, f_t=f_t, labels=labels,
+                          _phases=phases)
+
+    def __eq__(self, other):
+        return isinstance(other, SparseDecomposition) and all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    @functools.cached_property
+    def entries(self) -> tuple:
+        """The terms as (bitstring int, complex phase) pairs."""
+        data, size = self.labels.tobytes(), self.labels.itemsize * self.labels.shape[1]
+        bits = [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+        return tuple(zip(bits, self._phases.tolist()))
 
     @property
     def groups(self) -> tuple:
@@ -147,7 +177,7 @@ class SparseDecomposition:
         return tuple((start, self.f_t + 1) for start in range(0, self.k, self.f_t + 1))
 
     def phases(self) -> np.ndarray:
-        return np.array([ph for _, ph in self.entries], dtype=np.complex128)
+        return self._phases
 
     def to_json(self) -> dict:
         return {
@@ -186,14 +216,7 @@ class SparseDecomposition:
             prefactor = float(data["prefactor"])
             if not (math.isfinite(prefactor) and prefactor > 0.0):
                 raise ValueError(f"prefactor {prefactor} is not finite and positive")
-            return cls(
-                t=t,
-                k=k,
-                prefactor=prefactor,
-                entries=entries,
-                mode=data["mode"],
-                f_t=int(data.get("f_t", 0)),
-            )
+            return cls(t, k, prefactor, entries, data["mode"], int(data.get("f_t", 0)))
         except (KeyError, IndexError, TypeError) as exc:
             msg = f"malformed decomposition JSON ({type(exc).__name__}: {exc})"
             raise ValueError(msg) from None
@@ -222,45 +245,38 @@ def lane_words(values: Sequence[int], t: int) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(values), -(-t // 64))
 
 
-def _sample_entries(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
-    """(seed ^ shift, u0^(t-w) u1^w) for m i.i.d. Bernoulli(p1) seeds and each
-    shift, w the Hamming weight.  One ``rng.random((m, t))`` call draws the
-    same stream as m calls of ``rng.random(t)``; bit q of seed i is draw (i, q).
-    At t <= 64 the seeds, shifts, weights and phases stay in the Gram kernel's
-    ``lane_bytes`` lanes, and Python objects are made once, as the entries.
-    """
+def pack_lanes(bits: np.ndarray) -> np.ndarray:
+    """(..., t) bits as (..., width) ``lane_words`` words."""
+    t = bits.shape[-1]
+    lanes = np.zeros((*bits.shape[:-1], lane_bytes(t) if t <= 64 else 8 * -(-t // 64)), np.uint8)
+    lanes[..., :-(-t // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return lanes.view(f"<u{min(lanes.shape[-1], 8)}")
+
+
+def _sample_terms(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
+    """(labels, phases): ``lane_words`` rows seed ^ shift and complex128
+    u0^(t-w) u1^w, w the Hamming weight, for m i.i.d. Bernoulli(p1) seeds and
+    each shift.  One ``rng.random((m, t))`` call draws the same stream as m
+    calls of ``rng.random(t)``; bit q of seed i is draw (i, q)."""
     t = model.t
-    table = [model.u0 ** (t - w) * model.u1**w for w in range(t + 1)]
     try:
-        packed = np.packbits(rng.random((m, t)) < model.p1, axis=1, bitorder="little")
-        if t > 64:
-            data, width = packed.tobytes(), packed.shape[1]
-            seeds = [int.from_bytes(data[i:i + width], "little")
-                     for i in range(0, len(data), width)]
-            return tuple((b, table[b.bit_count()]) for b in (s ^ d for s in seeds for d in shifts))
-        size = lane_bytes(t)
-        lanes = np.zeros((m, size), np.uint8)
-        lanes[:, :packed.shape[1]] = packed
-        seeds = lanes.view(f"<u{size}")
-        labels = (seeds ^ np.array(shifts, seeds.dtype)).ravel()
-        phases = np.array(table)[np.bitwise_count(labels)]
+        table = np.array([model.u0 ** (t - w) * model.u1**w for w in range(t + 1)])
+        seeds = pack_lanes(rng.random((m, t)) < model.p1)
+        labels = (seeds[:, None] ^ lane_words(shifts, t)).reshape(-1, seeds.shape[1])
+        weight = np.bitwise_count(labels)
+        phases = table[weight[:, 0] if t <= 64 else weight.sum(axis=1)]
     except (MemoryError, ValueError):  # numpy refuses an array's size
         raise ValueError(f"cannot draw k = {m * len(shifts)} terms at t = {t}: "
                          "the draws do not fit in memory") from None
-    return tuple(zip(labels.tolist(), phases.tolist()))
+    return labels, phases
 
 
 def sample_iid(model: MagicModel, k: int, rng) -> SparseDecomposition:
     """k-term sparsification with bits i.i.d. Bernoulli(p1) per qubit."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return SparseDecomposition(
-        t=model.t,
-        k=k,
-        prefactor=model.l1 / k,
-        entries=_sample_entries(model, k, rng),
-        mode=IID,
-    )
+    labels, phases = _sample_terms(model, k, rng)
+    return SparseDecomposition(model.t, k, model.l1 / k, labels=labels, phases=phases)
 
 
 def sample_correlated(
@@ -294,15 +310,9 @@ def sample_correlated(
             stacklevel=2,
         )
     shifts = (0,) + tuple(masks.masks[:f_t])
-    entries = _sample_entries(model, -(-k_total // (f_t + 1)), rng, shifts)
-    return SparseDecomposition(
-        t=model.t,
-        k=len(entries),
-        prefactor=model.l1 / len(entries),
-        entries=entries,
-        mode=mode,
-        f_t=f_t,
-    )
+    labels, phases = _sample_terms(model, -(-k_total // (f_t + 1)), rng, shifts)
+    return SparseDecomposition(model.t, len(labels), model.l1 / len(labels), mode=mode, f_t=f_t,
+                               labels=labels, phases=phases)
 
 
 def gamma_bound(model: MagicModel, masks: MaskSet, f_t: int) -> float:
@@ -345,7 +355,7 @@ def dense_decomposition(decomp: SparseDecomposition) -> np.ndarray:
     to every x inside b, a superset sum done as t passes v[x] += v[x | 1 << q]."""
     if decomp.t > 14:
         raise ValueError("dense expansion limited to t <= 14")
-    labels = np.array([bits for bits, _ in decomp.entries], dtype=np.int64)
+    labels = decomp.labels[:, 0]
     vec = np.zeros(1 << decomp.t, dtype=np.complex128)
     np.add.at(vec, labels, decomp.phases() * np.exp2(-0.5 * np.bitwise_count(labels)))
     for q in range(decomp.t):

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .magic import lane_bytes, lane_words
+from .magic import lane_words, pack_lanes
 
 #: w^k for w = e^(i pi / 4)
 _C = math.sqrt(0.5)
@@ -306,17 +306,6 @@ def _bits(values: Sequence[int], t: int) -> np.ndarray:
     return np.unpackbits(lane_words(values, t).view(np.uint8), axis=1, count=t, bitorder="little")
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """(..., t) bits as (..., width) ``lane_words`` words."""
-    t = bits.shape[-1]
-    size = lane_bytes(t) if t <= 64 else 8 * -(-t // 64)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    short = size - packed.shape[-1]
-    if short:
-        packed = np.concatenate([packed, np.zeros((*packed.shape[:-1], short), np.uint8)], axis=-1)
-    return packed.view(f"<u{min(size, 8)}")
-
-
 class OverlapForms(NamedTuple):
     """The Z4 forms of F (state, Pauli) pairs, as ``_z4_lanes`` reads them.
 
@@ -392,8 +381,8 @@ def overlap_forms(states: Sequence[QuadraticFormState], keys: Sequence) -> Overl
     phase = (2 * both + 4 * doubled).sum(axis=-1) % 8
     return OverlapForms(
         L=L.reshape(count * per, t),
-        J=_pack(J).repeat(per, axis=0),
-        pivots=_pack(pivot).repeat(per, axis=0),
+        J=pack_lanes(J).repeat(per, axis=0),
+        pivots=pack_lanes(pivot).repeat(per, axis=0),
         rank=np.array([len(st.R) for st in states], np.int64).repeat(per),
         phase=phase.reshape(-1).astype(np.int64),
     )

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -468,6 +469,27 @@ class TestCliCommands:
         )
         assert proc.returncode == code, proc.stderr
         assert code == 0 or len(proc.stderr.strip().splitlines()) == 1
+
+    def test_huge_cost_t_range_is_checked_before_expanding(self, tmp_path):
+        # a range of 10^13 t values used to be built as a list before
+        # check_t saw it; under a 1 GB address-space cap that list is a
+        # MemoryError traceback (exit 1), and without one it can fill the host
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "stabsparse.cli", "cost", "--t", "1..10000000000000",
+             "--delta", "0.3"],
+            cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3, proc.stderr
+        err = proc.stderr.strip().splitlines()
+        assert err == [f"error: t must lie in [1, {costmodel.T_MAX}], "
+                       "where chi_t^2 is a finite float"]
 
     def test_import_loads_no_process_pool(self):
         # only a pooled bench run (--threads > 1) imports the process machinery

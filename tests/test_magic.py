@@ -321,6 +321,91 @@ def test_property_unit_phases(phi, t, k, seed):
         assert abs(abs(phase) - 1) <= 1e-12
 
 
+class TestTermArrays:
+    """A decomposition holds its terms as read-only label and phase arrays;
+    ``entries``, ``phases()``, JSON and ``==`` all read the same terms."""
+
+    TS = [1, 8, 32, 64, 65, 96, 130]
+
+    @staticmethod
+    def draws(t):
+        m = magic.magic_model(PI4, t)
+        # f_t = 0 at odd t, where no mask set has block length t
+        mask_set = masks.generate_masks_even(t if t % 2 == 0 else 2)
+        f_t = min(3, len(mask_set)) if t % 2 == 0 else 0
+        iid = magic.sample_iid(m, 9, np.random.default_rng(t))
+        corr = magic.sample_correlated(m, mask_set, f_t, 10, np.random.default_rng(t + 1))
+        built = magic.SparseDecomposition(
+            t=t, k=3, prefactor=0.5, entries=((0, 1.0), ((1 << t) - 1, 1j), (1 << (t - 1), -1.0)),
+            mode=magic.IID,
+        )
+        return iid, corr, built
+
+    @pytest.mark.parametrize("t", TS)
+    def test_views_json_and_equality_agree(self, t):
+        for d in self.draws(t):
+            assert len(d.entries) == d.k
+            assert all(isinstance(x, int) and 0 <= x < 1 << t for x, _ in d.entries)
+            assert [ph for _, ph in d.entries] == d.phases().tolist()
+            assert magic.lane_words([x for x, _ in d.entries], t).tolist() == d.labels.tolist()
+            data = d.to_json()
+            assert [int(e["x"], 16) for e in data["entries"]] == [x for x, _ in d.entries]
+            assert [complex(*e["phase"]) for e in data["entries"]] == d.phases().tolist()
+            loaded = magic.SparseDecomposition.from_json(json.loads(json.dumps(data)))
+            assert loaded == d and loaded.entries == d.entries
+            rebuilt = magic.SparseDecomposition(
+                t=t, k=d.k, prefactor=d.prefactor, entries=d.entries, mode=d.mode, f_t=d.f_t
+            )
+            assert rebuilt == d
+
+    @pytest.mark.parametrize("t", TS)
+    def test_inequality_reads_every_term(self, t):
+        iid, _, built = self.draws(t)
+        flipped = magic.SparseDecomposition(
+            t=t, k=3, prefactor=0.5, entries=built.entries[:2] + ((1 << (t - 1), 1.0),),
+            mode=magic.IID,
+        )
+        moved = magic.SparseDecomposition(
+            t=t, k=3, prefactor=0.5, entries=built.entries[:2] + ((0, -1.0),), mode=magic.IID,
+        )
+        assert flipped != built and moved != built and iid != built
+        assert built != built.entries
+
+    @pytest.mark.parametrize("t", TS)
+    def test_entries_view_is_cached(self, t):
+        for d in self.draws(t):
+            assert d.entries is d.entries
+
+    @pytest.mark.parametrize("t", TS)
+    def test_arrays_are_read_only(self, t):
+        for d in self.draws(t):
+            for array in (d.labels, d.phases()):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    @pytest.mark.parametrize("t", TS)
+    def test_label_dtype_follows_lane_bytes(self, t):
+        want = np.dtype(f"<u{magic.lane_bytes(t)}") if t <= 64 else np.dtype("<u8")
+        for d in self.draws(t):
+            assert d.labels.dtype == want
+            assert d.labels.shape == (d.k, 1 if t <= 64 else -(-t // 64))
+            assert d.phases().dtype == np.complex128 and d.phases().shape == (d.k,)
+
+    def test_constructor_keeps_the_arrays_read_only(self):
+        labels, phases = np.array([[5], [0]], np.uint8), np.array([1j, -1.0])
+        d = magic.SparseDecomposition(t=3, k=2, prefactor=1.0, mode=magic.IID,
+                                      labels=labels, phases=phases)
+        assert d.labels is labels and d.phases() is phases
+        assert not labels.flags.writeable and not phases.flags.writeable
+        assert d.entries == ((5, 1j), (0, -1 + 0j))
+
+    def test_term_count_must_equal_k(self):
+        with pytest.raises(ValueError, match="entry count must equal k"):
+            magic.SparseDecomposition(t=3, k=2, prefactor=1.0, mode=magic.IID,
+                                      labels=np.zeros((2, 1), np.uint8), phases=np.ones(1))
+
+
 def reference_entries(model, seeds, shifts):
     """Per-row reference sampler: one rng.random(t) call per seed, bits
     set one by one, each member's phase u0^(t-w) u1^w computed on its own."""
