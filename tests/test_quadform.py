@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from stabsparse import dense
+from stabsparse import dense, magic
 from stabsparse import quadform as qf
 from stabsparse import stabilizer as sb
 
@@ -144,6 +144,12 @@ def dense_overlaps(st, x, z):
     ]
 
 
+def overlaps(st, labels, x=0, z=0):
+    """<phi_b| Z^z X^x |theta> for each label b: one form, one ``form_overlaps`` row."""
+    forms = qf.overlap_forms([st], [(x, z)])
+    return qf.form_overlaps(forms, magic.lane_words(labels, st.t), st.t)[0]
+
+
 class TestProductOverlaps:
     @pytest.mark.parametrize("t", range(1, 11))
     def test_matches_dense_for_every_label(self, t):
@@ -229,8 +235,9 @@ class TestProductOverlaps:
         assert nonzero >= 40
 
     def test_overlaps_pinned(self):
-        # pins every overlap bit for bit, recorded before the Z4 form was
-        # built once per call.  A random x sets pivot bits s of a0 ^ x, and
+        # pins every overlap bit for bit as complex128 bytes, the values a
+        # repr digest pinned before the Z4 form was built once per call.
+        # A random x sets pivot bits s of a0 ^ x, and
         # ``shifted`` counts the labels that miss some of s: off such a
         # label the once-per-call move y = s ^ y' holds a pivot at 1, so
         # the phases that move adds (the constant and the pivots' L) count
@@ -255,10 +262,10 @@ class TestProductOverlaps:
                                 point ^= row
                         labels.append(point | (random_bits(rng, t) & random_bits(rng, t)))
                     shifted += sum(bool((st.a0 ^ x) & pivots & ~b) for b in labels)
-                    h.update(repr(qf.product_overlaps(st, labels, x, z)).encode())
+                    h.update(overlaps(st, labels, x, z).tobytes())
         assert shifted >= 100
         assert h.hexdigest() == (
-            "fb96e163bc73e24cd6e6ef99e1a7cb91c49a4bbf4749ab6352a271269190dad9"
+            "76f67dc5ab1883a44a8c7c9eac8c5307d3fd320de183c3b4754d3e6e755fe516"
         )
 
     def test_z4_sum_ignores_self_bits_and_bits_outside_alive(self):
