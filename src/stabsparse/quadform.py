@@ -11,9 +11,7 @@ support folded in once, for many states in a few numpy calls, and each
 term restricts a form to its own variables, with no per-term shift.
 ``form_overlaps`` sums every term of many forms in one numpy elimination
 whose lanes are the (form, term) pairs, by one path at every t:
-fastnorm's only sampler.  ``product_overlaps`` and ``_z4_sum`` are its
-one-form and one-lane calls.  Bit q of an int is qubit q, as in
-``stabilizer``.
+fastnorm's only sampler.  Bit q of an int is qubit q, as in ``stabilizer``.
 """
 
 from __future__ import annotations
@@ -28,9 +26,12 @@ import numpy as np
 
 from .magic import lane_words, pack_lanes
 
-#: w^k for w = e^(i pi / 4)
+#: w^k (k = 0..7) for w = e^(i pi / 4)
 _C = math.sqrt(0.5)
-_ROOTS8 = (1, complex(_C, _C), 1j, complex(-_C, _C), -1, complex(-_C, -_C), -1j, complex(_C, -_C))
+_ROOTS8 = np.array([1, complex(_C, _C), 1j, complex(-_C, _C), -1, complex(-_C, -_C), -1j,
+                    complex(_C, -_C)])
+#: 2^(-n/2) for n = 0..3t, at every t fastnorm takes (t <= 1024)
+_SCALES = np.exp2(-0.5 * np.arange(3 * 1024 + 1))
 
 
 class QuadraticFormState(NamedTuple):
@@ -133,8 +134,6 @@ def random_stabilizer_state(t: int, rng) -> QuadraticFormState:
 #: the size of a chunk: lanes x t x words of J in one elimination tile,
 #: and states x t x t bits in one batch of ``overlap_forms``
 _LANE_ENTRIES = 1 << 18
-#: w^k (k = 0..7) as one complex128 array
-_ROOTS8_LANES = np.array(_ROOTS8, dtype=np.complex128)
 
 
 def lane_tile(t: int) -> int:
@@ -177,11 +176,24 @@ _SHED_LANES = 256
 
 
 def _step_tables() -> tuple:
-    """``_z4_sum``'s elimination of m as table rows, one per code
-    L_m + 5 L_p with p the lowest neighbour of m (either may be ``_NONE``).
-    A ``_STEPS`` row is (substitute p, T's shift, N_p's shift, T's rows
-    toggle T too, the lane goes on), an ``_ACC`` entry the step's packed
-    (e, k, zero)."""
+    """One step of sum over u in F2^alive of
+    i^(sum_m L_m u_m + 2 sum_(m<n) J_mn u_m u_n), which is 2^(e/2) w^k
+    (w = e^(i pi/4), 0 <= k < 8) or 0, as table rows: the step sums out
+    the lowest variable m, and its row's code is L_m + 5 L_p, with p the
+    lowest neighbour of m (either may be ``_NONE``).
+
+    An odd L_m gives sqrt2 w^(2 - L_m) i^((L_m - 2) s), s = parity(J_m . u),
+    which moves L and J of m's neighbours: in Z4,
+    s = sum_nb u - 2 sum_(pairs in nb) u u.  An even L_m gives
+    2 [s = L_m/2], a constraint that substitutes one neighbour p,
+    u_p = c ^ parity(u_T) with c = L_m/2 and T the other neighbours:
+    L_p u_p = L_p c + L_p (1 - 2c) sum_T u - 2 L_p sum_(pairs in T) u u and
+    2 u_p u_n (n in N_p) = 2 c u_n + 2 sum_T u_n u_n'.  With no neighbour
+    the constraint is 0 = L_m/2, so the sum is 0 when L_m = 2.  Only bits
+    of variables still to be summed are read, and the sum does not depend
+    on the order.  A ``_STEPS`` row is (substitute p, T's shift, N_p's
+    shift, T's rows toggle T too, the lane goes on), an ``_ACC`` entry the
+    step's packed (e, k, zero)."""
     steps, acc = np.zeros((25, 5), np.uint8), np.zeros(25, np.int64)
     for lm, lp in itertools.product(range(_NONE), range(_NONE + 1)):
         code, c = lm + 5 * lp, lm >> 1
@@ -199,13 +211,13 @@ _STEPS, _ACC = _step_tables()
 
 
 def _z4_lanes(L: np.ndarray, J: np.ndarray, form: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """``_z4_sum`` in every lane at once: each lane's (e, k, zero), packed
-    as in ``_ACC`` (k mod 8 is the low 3 bits).
+    """The Z4 sum of ``_step_tables`` in every lane at once: each lane's
+    (e, k, zero), packed as in ``_ACC`` (k mod 8 is the low 3 bits).
 
     Lane i sums the variables ``alive[i]`` (``lane_words`` words) of form
     ``form[i]``, whose terms are ``L[form[i]]`` (t values, read mod 4) and
     ``J[form[i]]`` (t rows of words).  Each pass sums out every lane's
-    lowest alive variable m by ``_z4_sum``'s rule, read from ``_STEPS``
+    lowest alive variable m by the rule read from ``_STEPS``
     and ``_ACC``: an odd L_m moves its neighbours, and an even L_m with
     neighbours substitutes the lowest one, p.  Both updates have one
     shape: rows in a set T gain a shift in L and toggle a mask in J, rows
@@ -270,35 +282,6 @@ def _z4_lanes(L: np.ndarray, J: np.ndarray, form: np.ndarray, alive: np.ndarray)
         L[:, r:] &= mod4[r:]
         J[:, r:, w:] ^= (bn[..., None] * T[:, None]
                          ^ bt[..., None] * (N ^ T * jodd[:, None])[:, None])
-
-
-def _z4_sum(L: list, J: list, alive: int):
-    """sum over u in F2^alive of i^(sum_m L_m u_m + 2 sum_(m<n) J_mn u_m u_n).
-
-    ``alive`` is the mask of the variables, ``L[m]`` an int (read mod 4)
-    and ``J[m]`` a mask of the n with J_mn = 1 (symmetric), m < len(L).
-    Only bits of variables still to be summed are ever read, so bits
-    outside ``alive`` and each row's own bit may hold anything.  Returns
-    (e, k) with the sum 2^(e/2) w^k, w = e^(i pi/4), 0 <= k < 8, or None
-    when it is 0.  The variables are summed out one at a time, the lowest
-    first.  An odd L_m gives sqrt2 w^(2 - L_m) i^((L_m - 2) s),
-    s = parity(J_m . u), which moves L and J of m's neighbours: in Z4,
-    s = sum_nb u - 2 sum_(pairs in nb) u u.  An even L_m gives
-    2 [s = L_m/2], a constraint that substitutes one neighbour p,
-    u_p = c ^ parity(u_T) with c = L_m/2 and T the other neighbours:
-    L_p u_p = L_p c + L_p (1 - 2c) sum_T u - 2 L_p sum_(pairs in T) u u and
-    2 u_p u_n (n in N_p) = 2 c u_n + 2 sum_T u_n u_n'.  With no neighbour
-    the constraint is 0 = L_m/2, so the sum is 0 when L_m = 2.  The sum and
-    so (e, k) do not depend on the order.  One lane of ``_z4_lanes``.
-    """
-    t, full = len(L), (1 << len(L)) - 1
-    (acc,) = _z4_lanes(
-        np.array([[v & 3 for v in L]], np.uint8).reshape(1, t),
-        lane_words([j & full for j in J], t)[None],
-        np.zeros(1, np.intp),
-        lane_words([alive & full], t),
-    ).tolist()
-    return None if acc >= _ZERO else (acc >> 16, acc & 7)
 
 
 def _bits(values: Sequence[int], t: int) -> np.ndarray:
@@ -388,17 +371,11 @@ def overlap_forms(states: Sequence[QuadraticFormState], keys: Sequence) -> Overl
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _scales(t: int) -> np.ndarray:
-    """2^(-n/2) for n = 0..3t, as Python's float power gives them."""
-    return np.array([2.0 ** (-n / 2) for n in range(3 * t + 1)])
-
-
-def _form_sums(forms: OverlapForms, labels: np.ndarray, t: int) -> tuple:
-    """(n, phase, zero) arrays of shape (len(forms.L), len(labels)): every
-    overlap 2^(-n/2) w^phase, or 0, with the labels as ``lane_words``
-    rows.  Every label of every form is one lane of ``_z4_lanes``, in
-    tiles of ``lane_tile(t)`` lanes."""
+def form_overlaps(forms: OverlapForms, labels: np.ndarray, t: int) -> np.ndarray:
+    """(len(forms.L), len(labels)) complex128 overlaps, one row per form,
+    with the labels as ``lane_words`` rows: each the ``OverlapForms`` value
+    of its sum's (e, k), or 0.  Every label of every form is one lane of
+    ``_z4_lanes``, in tiles of ``lane_tile(t)`` lanes."""
     count, width = labels.shape
     size = len(forms.L) * count
     checks = (forms.pivots ^ lane_words([(1 << t) - 1], t))[:, None] & ~labels
@@ -409,29 +386,6 @@ def _form_sums(forms: OverlapForms, labels: np.ndarray, t: int) -> tuple:
     for lo in range(0, size, tile):
         acc[lo:lo + tile] = _z4_lanes(forms.L, forms.J, form[lo:lo + tile], alive[lo:lo + tile])
     acc = acc.reshape(shift.shape)
-    return shift - ((acc >> 16) & 0xFFFF), (acc + forms.phase[:, None]) & 7, acc >= _ZERO
-
-
-def form_overlaps(forms: OverlapForms, labels: np.ndarray, t: int) -> np.ndarray:
-    """(len(forms.L), len(labels)) complex128 overlaps, one row per form,
-    with the labels as ``lane_words`` rows; each value equals
-    ``product_overlaps``'."""
-    n, phase, zero = _form_sums(forms, labels, t)
-    out = _scales(t)[n] * _ROOTS8_LANES[phase]
-    out[zero] = 0
+    out = _SCALES[shift - ((acc >> 16) & 0xFFFF)] * _ROOTS8[(acc + forms.phase[:, None]) & 7]
+    out[acc >= _ZERO] = 0
     return out
-
-
-def product_overlaps(
-    state: QuadraticFormState, labels: Sequence[int], x: int = 0, z: int = 0
-) -> list:
-    """<phi_b| Z^z X^x |theta> for each label b, |phi_b> the product of |+>
-    on b's set bits and |0> elsewhere: one form and one ``_form_sums``
-    call over its labels."""
-    t = state.t
-    n, phase, zero = _form_sums(overlap_forms([state], [(x, z)]), lane_words(labels, t), t)
-    # Python's float times the int roots 1 and -1 keeps phases 0 and 4 as
-    # floats, as the per-label loop returned them; form_overlaps' complex128
-    # holds the same values but not those types
-    return [0j if gone else 2.0 ** (-v / 2) * _ROOTS8[ph]
-            for v, ph, gone in zip(n[0].tolist(), phase[0].tolist(), zero[0].tolist())]

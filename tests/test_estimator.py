@@ -544,7 +544,7 @@ class TestHeisenbergPauliProb:
 
     def test_fastnorm_chain_steps_pinned(self):
         # pins FASTNORM step values bit for bit over chains whose conjugated
-        # Paulis have X parts, so product_overlaps runs with x != 0
+        # Paulis have X parts, so form_overlaps runs with x != 0
         h = hashlib.sha256()
         moved = 0
         for t in (2, 5, 9, 16):

@@ -426,8 +426,8 @@ class TestSamplingStream:
     """The batched samplers reproduce the per-row loop entry for entry and
     leave the generator at the same position."""
 
-    # packed widths 1..9 and 12, 17 bytes: every lane size, each lane
-    # partly and fully filled, and the Python-int path beyond one lane
+    # every lane size (1, 2, 4 and 8 bytes), each lane partly and fully
+    # filled, and multi-word lanes of 2 and 3 uint64 words beyond 64 bits
     @pytest.mark.parametrize("t", [1, 7, 8, 9, 17, 24, 31, 32, 33, 40, 48, 56, 63, 64, 65,
                                    96, 130])
     def test_iid_matches_per_row_loop(self, t):

@@ -150,6 +150,19 @@ def overlaps(st, labels, x=0, z=0):
     return qf.form_overlaps(forms, magic.lane_words(labels, st.t), st.t)[0]
 
 
+def z4_sum(L, J, alive):
+    """(e, k) of sum over u in F2^alive of i^(L.u + 2 sum_(m<n) J_mn u_m u_n)
+    as 2^(e/2) w^k, or None when it is 0: one lane of ``_z4_lanes``."""
+    t, full = len(L), (1 << len(L)) - 1
+    (acc,) = qf._z4_lanes(
+        np.array([[v & 3 for v in L]], np.uint8).reshape(1, t),
+        magic.lane_words([j & full for j in J], t)[None],
+        np.zeros(1, np.intp),
+        magic.lane_words([alive & full], t),
+    ).tolist()
+    return None if acc >= qf._ZERO else (acc >> 16, acc & 7)
+
+
 class TestProductOverlaps:
     @pytest.mark.parametrize("t", range(1, 11))
     def test_matches_dense_for_every_label(self, t):
@@ -160,7 +173,7 @@ class TestProductOverlaps:
             x, z = (int(v) for v in rng.integers(1 << t, size=2))
             y = 1 << int(rng.integers(t))  # at least one Y
             x, z = x | y, z | y
-            got = qf.product_overlaps(st, list(range(1 << t)), x, z)
+            got = overlaps(st, list(range(1 << t)), x, z)
             for want, have in zip(dense_overlaps(st, x, z), got):
                 if abs(want) < 1e-12:
                     assert have == 0
@@ -176,7 +189,7 @@ class TestProductOverlaps:
         for st in (qf.QuadraticFormState(t, 0b101, (), 0, ()),
                    qf.QuadraticFormState(t, 0, (1, 2, 4), 0b011, (0b111, 0b010, 0b100))):
             for x, z in ((0, 0), (0b110, 0b011), (0b111, 0b111)):
-                got = qf.product_overlaps(st, list(range(8)), x, z)
+                got = overlaps(st, list(range(8)), x, z)
                 assert np.allclose(got, dense_overlaps(st, x, z), atol=1e-12)
 
     @pytest.mark.parametrize("rank", ["none", "full", "full-1"])
@@ -192,7 +205,7 @@ class TestProductOverlaps:
                 pivots = sum(row & -row for row in st.R)
                 x = random_bits(rng, t) | (pivots & -pivots)
                 z = random_bits(rng, t)
-                got = qf.product_overlaps(st, list(range(1 << t)), x, z)
+                got = overlaps(st, list(range(1 << t)), x, z)
                 for want, have in zip(dense_overlaps(st, x, z), got):
                     assert abs(have - want) <= 1e-12
                 hits += bool(x & pivots)
@@ -222,7 +235,7 @@ class TestProductOverlaps:
             points = [w ^ x for w in support]
             labels = [points[int(rng.integers(len(points)))] | int(rng.integers(1 << 62)) << 8
                       for _ in range(6)] + [int(rng.integers(1 << 62)) << 8]
-            got = qf.product_overlaps(st, labels, x, z)
+            got = overlaps(st, labels, x, z)
             for b, have in zip(labels, got):
                 want = sum(
                     amp * (-1) ** (z & w).bit_count() * 2.0 ** (-b.bit_count() / 2)
@@ -283,7 +296,7 @@ class TestProductOverlaps:
             junk = [(j | random_bits(rng, width) & ~alive) ^ (int(rng.integers(2)) << m)
                     for m, j in enumerate(J)]
             noisy = [v if (alive >> m) & 1 else int(rng.integers(-8, 8)) for m, v in enumerate(L)]
-            assert qf._z4_sum(noisy, junk, alive) == qf._z4_sum(list(L), list(J), alive)
+            assert z4_sum(noisy, junk, alive) == z4_sum(list(L), list(J), alive)
 
     def test_z4_sum_spread_over_wide_lanes(self):
         # d variables scattered over t > 64 bits (words and rows skipped
@@ -302,7 +315,7 @@ class TestProductOverlaps:
                     wide_l[q] = L[m]
                     wide_j[q] = sum(1 << at[n] for n in range(d) if (J[m] >> n) & 1)
                 alive = sum(1 << q for q in at)
-                assert qf._z4_sum(wide_l, wide_j, alive) == qf._z4_sum(L, J, (1 << d) - 1)
+                assert z4_sum(wide_l, wide_j, alive) == z4_sum(L, J, (1 << d) - 1)
 
     def test_z4_sum_matches_enumeration(self):
         rng = np.random.default_rng(320)
@@ -317,7 +330,7 @@ class TestProductOverlaps:
                 f = sum(L[m] * bits[m] for m in range(d))
                 f += 2 * sum(upper[m, n] * bits[m] * bits[n] for m in range(d) for n in range(d))
                 want += 1j ** (f % 4)
-            got = qf._z4_sum(list(L), list(J), (1 << d) - 1)
+            got = z4_sum(list(L), list(J), (1 << d) - 1)
             if got is None:
                 assert abs(want) < 1e-9
             else:
