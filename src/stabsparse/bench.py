@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional, Sequence
@@ -80,8 +81,10 @@ def _run_grid(
     if workers < 1:
         raise ValueError(f"worker (--threads) count must be at least 1, got {workers}")
     specs = [(ci, ti) for ci in range(len(cells)) for ti in range(trials)]
-    out = {}
-    if workers <= 1 or len(specs) <= 1:
+    # the pool starts every worker at the first submit, so ask for no more
+    # than there are work items and CPUs: rows are the same at any count
+    workers, out = min(workers, len(specs), os.cpu_count() or 1), {}
+    if workers <= 1:
         for ci, ti in specs:
             out[(ci, ti)] = worker(cells[ci], ci, ti, master_seed)
     else:

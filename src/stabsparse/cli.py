@@ -5,13 +5,14 @@ experiment runners sparsify-stats, worst-case and mask-timing); every
 draw goes through ``bench.sparsify``.
 Exit codes: 0 on success; 2 for an argparse usage error (a missing or
 unknown option, or a value of the wrong type); 3 for any value rejected
-after parsing (a bad angle, delta, t, Pauli chain or mask size, an empty
-range, a step count below 1 or too large for memory, a bench trial, thread
-or gate count out of range, a term count too large to draw, a decomposition
-with no terms or a negative f_t, a prefactor that is not finite and
-positive or a phase that is not a finite unit phase, or an input or output
-path that cannot be read, written or parsed), reported as one ``error:``
-line.
+after parsing (a bad angle, delta, Pauli chain or mask size, a t outside
+its command's range, checked before a range is expanded, an empty range, a
+step count below 1 or too large for memory, a bench trial, thread or gate
+count out of range, a term count too large to draw, a decomposition with no
+terms, a negative f_t or a t too large to pack, a prefactor that is not
+finite and positive or a phase that is not a finite unit phase, or an input
+or output path that cannot be read, written or parsed), reported as one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -163,19 +164,20 @@ def cmd_cost(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.experiment == "mask-timing":
-        records = bench.run_mask_timing(parse_int_range(args.t), out=args.out)
+        records = bench.run_mask_timing(parse_int_range(args.t, masks.check_block_length),
+                                        out=args.out)
         if len({r.t for r in records}) >= 2:
             print(f"fitted per-mask exponent: {bench.timing_exponent(records):.3f}")
         return 0
     if args.experiment == "sparsify-stats":
         summary = bench.summarize_sparsify(bench.run_sparsify_stats(
-            parse_phi(args.phi), parse_int_range(args.t),
+            parse_phi(args.phi), parse_int_range(args.t, estimator.check_t),
             parse_float_list(args.delta), args.trials, args.seed,
             workers=args.threads, out=args.out,
         ))
     else:
         summary = bench.summarize_worst_case(bench.run_worst_case(
-            parse_int_range(args.t), parse_float_list(args.delta),
+            parse_int_range(args.t, estimator.check_t), parse_float_list(args.delta),
             args.cliffords, args.trials, args.seed,
             phi=parse_phi(args.phi), workers=args.threads, out=args.out,
         ))

@@ -70,6 +70,16 @@ class ProbabilityEstimate:
     clamped: bool
 
 
+#: the largest t of the Gram kernel's and fastnorm's power-of-two scalings
+T_MAX = 1024
+
+
+def check_t(t: int) -> None:
+    """Exact norms and fastnorm take t in [1, ``T_MAX``]."""
+    if not 1 <= t <= T_MAX:
+        raise ValueError(f"no exact norm or fastnorm at t = {t}: t must lie in [1, {T_MAX}]")
+
+
 #: entries per row-tile Gram block over all Paulis: a call whose whole block
 #: (k^2 entries per Pauli) fits uses temporaries, larger ones reuse O(tile * k) buffers
 _TILE_ENTRIES = 1 << 18
@@ -120,7 +130,7 @@ def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
     the same bits.
     """
     k, width = bits.shape
-    if width > 16:
+    if width > T_MAX // 64:
         raise ValueError("the Gram kernel's power-of-two scaling covers t <= 1024")
     h, keys = 32 * width, list(keys)
     p = len(keys)
@@ -236,7 +246,7 @@ def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"fastnorm needs an rng (an np.random.Generator), got {rng!r}")
     t = decomp.t
-    if t > 1024:
+    if t > T_MAX:
         raise ValueError("fastnorm's 2^t scaling covers t <= 1024")
     labels, phases = decomp.labels, decomp.phases()
     keys, coeffs = list(pauli_sum), list(pauli_sum.values())

@@ -241,7 +241,10 @@ def lane_words(values: Sequence[int], t: int) -> np.ndarray:
     one ``lane_bytes`` lane, wider t in ceil(t/64) uint64 words."""
     if t <= 64:
         return np.array(values, dtype=f"<u{lane_bytes(t)}")[:, None]
-    data = b"".join(v.to_bytes(8 * -(-t // 64), "little") for v in values)
+    try:
+        data = b"".join(v.to_bytes(8 * -(-t // 64), "little") for v in values)
+    except (MemoryError, OverflowError):  # the words' size is refused
+        raise ValueError(f"labels of t = {t} bits do not fit in memory") from None
     return np.frombuffer(data, dtype="<u8").reshape(len(values), -(-t // 64))
 
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 EVEN = "EVEN"
 POW2 = "POW2"
+#: the largest block length generated: 2t - 1 masks of t bits are 64 MB of ints
+MAX_BLOCK_LENGTH = 1 << 14
 
 
 def popcount(x: int) -> int:
@@ -35,6 +37,11 @@ def popcount(x: int) -> int:
 
 def _is_pow2(t: int) -> bool:
     return t >= 1 and (t & (t - 1)) == 0
+
+
+def check_block_length(t: int) -> None:
+    if not 1 <= t <= MAX_BLOCK_LENGTH:
+        raise ValueError(f"block length t = {t} must lie in [1, {MAX_BLOCK_LENGTH}]")
 
 
 @dataclass(frozen=True)
@@ -114,6 +121,7 @@ def tree_bitstrings(t: int) -> list:
     """
     if not _is_pow2(t) or t < 2:
         raise ValueError("t must be a power of two, at least 2")
+    check_block_length(t)
     # seeds: alpha=10, beta=01, gamma=00 as little-endian ints of width 2
     yis = [0b01, 0b10, 0b00]
     width = 2
@@ -144,6 +152,7 @@ def generate_masks_even(t: int) -> MaskSet:
     """
     if t < 2 or t % 2 != 0:
         raise ValueError(f"t must be even and at least 2, got t = {t}")
+    check_block_length(t)
     base = t & (-t)  # largest power of two dividing t
     reps = t // base
     base_set = generate_masks_pow2(base)

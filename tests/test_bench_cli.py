@@ -16,6 +16,20 @@ from stabsparse import bench, cli, costmodel, estimator, magic, masks
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
+def run_capped(argv, cwd):
+    """``python -m stabsparse.cli`` with ``argv`` under a 1 GB address-space
+    cap, so that work sized to fill the host fails fast instead."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    return subprocess.run([sys.executable, "-m", "stabsparse.cli", *argv], cwd=cwd, env=env,
+                          preexec_fn=cap, capture_output=True, text=True, timeout=60)
+
+
 class TestPlans:
     def test_theorem1_plan_t8(self):
         model = magic.magic_model(math.pi / 4, 8)
@@ -474,22 +488,81 @@ class TestCliCommands:
         # a range of 10^13 t values used to be built as a list before
         # check_t saw it; under a 1 GB address-space cap that list is a
         # MemoryError traceback (exit 1), and without one it can fill the host
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "stabsparse.cli", "cost", "--t", "1..10000000000000",
-             "--delta", "0.3"],
-            cwd=tmp_path, env=env, preexec_fn=cap, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_capped(["cost", "--t", "1..10000000000000", "--delta", "0.3"], tmp_path)
         assert proc.returncode == 3, proc.stderr
         err = proc.stderr.strip().splitlines()
         assert err == [f"error: t must lie in [1, {costmodel.T_MAX}], "
                        "where chi_t^2 is a finite float"]
+
+    @pytest.mark.parametrize("argv, bound", [
+        (["bench", "sparsify-stats", "--t", "1..10000000000000"], 1024),
+        (["bench", "worst-case", "--t=-10000000000000..8"], 1024),
+        (["bench", "mask-timing", "--t", "1..10000000000000"], 1 << 14),
+        (["gen-masks", "--t", "1000000000000"], 1 << 14),
+    ], ids=["sparsify-stats-range", "worst-case-range-below-1", "mask-timing-range",
+            "gen-masks-tiles"])
+    def test_huge_bench_t_is_checked_before_any_work(self, argv, bound, tmp_path):
+        # a bench --t range was a list before anything checked it, and
+        # gen-masks --t 10^12 tiled 8191 masks 244140625 times
+        proc = run_capped(argv, tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        err = proc.stderr.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and f", {bound}]" in err[0]
+
+    def test_t_bounds_at_their_edges(self):
+        estimator.check_t(estimator.T_MAX)
+        masks.check_block_length(masks.MAX_BLOCK_LENGTH)
+        for check, bad in ((estimator.check_t, estimator.T_MAX + 1), (estimator.check_t, 0),
+                           (masks.check_block_length, masks.MAX_BLOCK_LENGTH + 1)):
+            with pytest.raises(ValueError, match=f"t = {bad}[: ]"):
+                check(bad)
+        assert cli.main(["bench", "sparsify-stats", "--t", "1025", "--trials", "1"]) == 3
+
+    @pytest.mark.parametrize("t", [10**12, 10**30])
+    def test_decomposition_t_too_large_to_pack_exit_3(self, t, tmp_path):
+        # packing the labels used to end in a MemoryError (t = 10^12, under
+        # the cap) or OverflowError (t = 10^30) traceback, exit 1
+        (tmp_path / "d.json").write_text(json.dumps({
+            "t": t, "k": 1, "prefactor": 1.0, "mode": "IID",
+            "entries": [{"x": "1", "phase": [1.0, 0.0]}],
+        }))
+        proc = run_capped(["estimate", "--decomp", "d.json", "--paulis", "Z,+"], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            f"error: labels of t = {t} bits do not fit in memory"]
+
+    def test_threads_pool_capped_by_work_and_cpus(self, monkeypatch, capsys):
+        # the pool starts every worker at its first submit, so --threads 5000
+        # must not ask it for 5000 processes for 4 work items (2 cells, 2
+        # trials); a stand-in pool records its size and runs the work inline
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        argv = ["bench", "sparsify-stats", "--t", "4", "--trials", "2", "--threads"]
+        assert cli.main(argv + ["1"]) == 0
+        serial = capsys.readouterr().out
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        for cpus, threads in ((64, "5000"), (3, "5000"), (64, "2"), (None, "5000")):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert cli.main(argv + [threads]) == 0
+            assert capsys.readouterr().out == serial
+        assert sizes == [4, 3, 2]  # with no CPU count, one worker runs inline
 
     def test_import_loads_no_process_pool(self):
         # only a pooled bench run (--threads > 1) imports the process machinery
