@@ -33,7 +33,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 
 from . import dense
-from .magic import MagicModel, SparseDecomposition, dense_decomposition, dense_target, lane_words
+from .magic import (ROOT2, T_MAX, MagicModel, SparseDecomposition, dense_decomposition,
+                    dense_target, lane_words)
 from .magic import to_states  # noqa: F401  (unused here; perfbench traces it at this name)
 from .quadform import chunk_states, form_overlaps, overlap_forms, random_stabilizer_state
 from .stabilizer import (
@@ -70,10 +71,6 @@ class ProbabilityEstimate:
     clamped: bool
 
 
-#: the largest t of the Gram kernel's and fastnorm's power-of-two scalings
-T_MAX = 1024
-
-
 def check_t(t: int) -> None:
     """Exact norms and fastnorm take t in [1, ``T_MAX``]."""
     if not 1 <= t <= T_MAX:
@@ -83,11 +80,7 @@ def check_t(t: int) -> None:
 #: entries per row-tile Gram block over all Paulis: a call whose whole block
 #: (k^2 entries per Pauli) fits uses temporaries, larger ones reuse O(tile * k) buffers
 _TILE_ENTRIES = 1 << 18
-#: exact 2^n (n = -512..512), 2^(n/2) (n = -1024..1024) and the signs +1, -1 as
-#: tables: in an op that starts with cold caches an index into them costs less
-#: than a fresh ldexp, exp2 or where, and reads the values those would give
-_POW2 = np.ldexp(1.0, np.arange(-512, 513))
-_ROOT2 = np.exp2(0.5 * np.arange(-1024, 1025))
+#: the signs +1, -1 as a table: with cold caches an index costs less than a where
 _SIGNS = np.array([1.0, -1.0])
 
 
@@ -101,8 +94,8 @@ def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
     bits, ri = bits[order], ri[order]
     width = bits.shape[1]
     count = np.bitwise_count(bits).sum(axis=-1) if width > 1 else np.bitwise_count(bits[:, 0])
-    # 2^((h - |b|)/2), h = 32 * width: _ROOT2 read down from 2^(h/2)
-    r = _ROOT2[1024 + 32 * width::-1][count]
+    # 2^((h - |b|)/2), h = 32 * width: ROOT2 read down from 2^(h/2)
+    r = ROOT2[3 * T_MAX + 32 * width::-1][count]
     return bits, ri * r[:, None]
 
 
@@ -131,7 +124,7 @@ def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
     """
     k, width = bits.shape
     if width > T_MAX // 64:
-        raise ValueError("the Gram kernel's power-of-two scaling covers t <= 1024")
+        raise ValueError(f"the Gram kernel's power-of-two scaling covers t <= {T_MAX}")
     h, keys = 32 * width, list(keys)
     p = len(keys)
     words = lane_words([x for x, _ in keys] + [z for _, z in keys], 8 * bits.itemsize * width)
@@ -150,7 +143,7 @@ def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
     if tile >= k:  # one row tile: plain temporaries, and no off-diagonal block
         a = lanes[:, None]
         cnt = np.bitwise_count(a & lanes)  # g = 2^(|a & b| - h)
-        g = _POW2[512 - h:][cnt if width == 1 else cnt.sum(axis=-1, dtype=np.int32)]
+        g = ROOT2[3 * T_MAX - 2 * h::2][cnt if width == 1 else cnt.sum(axis=-1, dtype=np.int32)]
         if pauli:  # live where the row mask lies inside a ^ b
             live = (rows & (a ^ lanes)) == rows
             g = g * (live if width == 1 else live.all(axis=-1))
@@ -237,7 +230,7 @@ def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int
     (state, Pauli) form once, one ``form_overlaps`` call gives every
     <phi_b| Z^z X^x |theta> of a chunk, and each sample sums its terms'
     conj(overlap) phase with ``np.vdot``, in sample order.  The 2^t scaling
-    is exact (``ldexp``) and, like the Gram kernel's, covers t <= 1024.
+    is exact (``ldexp``) and, like the Gram kernel's, covers t <= ``T_MAX``.
     """
     if isinstance(m_samples, bool) or not isinstance(m_samples, (int, np.integer)):
         raise ValueError(f"sample count must be an int, got {m_samples!r}")
@@ -247,7 +240,7 @@ def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int
         raise ValueError(f"fastnorm needs an rng (an np.random.Generator), got {rng!r}")
     t = decomp.t
     if t > T_MAX:
-        raise ValueError("fastnorm's 2^t scaling covers t <= 1024")
+        raise ValueError(f"fastnorm's 2^t scaling covers t <= {T_MAX}")
     labels, phases = decomp.labels, decomp.phases()
     keys, coeffs = list(pauli_sum), list(pauli_sum.values())
     per = chunk_states(t, len(keys) * len(labels))

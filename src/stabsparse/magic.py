@@ -19,7 +19,9 @@ the stabilizer extent of the tensor power.
 pairwise Hamming distance >= t/2, which raises the cross-term constant
 gamma above 1 and lowers the number of terms needed for a target error.
 Both give a ``SparseDecomposition`` its terms as arrays, ``lane_words``
-label rows and complex128 phases, with no Python object per term.
+label rows and complex128 phases, with no Python object per term.  The lane
+format's t bound ``T_MAX`` and the exact power table ``ROOT2`` are shared
+by the Gram kernel (``estimator``) and the Z4 overlaps (``quadform``).
 """
 
 from __future__ import annotations
@@ -229,6 +231,13 @@ class SparseDecomposition:
     def load(cls, path: str) -> "SparseDecomposition":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+#: the largest t of the Gram kernel's and fastnorm's power-of-two scalings
+T_MAX = 1024
+#: 2^(n/2) at index 3 T_MAX + n (n = -3 T_MAX..T_MAX), exact at even n: with cold
+#: caches a read costs less than a fresh ldexp or exp2, and gives their values
+ROOT2 = np.exp2(0.5 * np.arange(-3 * T_MAX, T_MAX + 1))
 
 
 def lane_bytes(t: int) -> int:

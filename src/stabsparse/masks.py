@@ -96,26 +96,13 @@ class MaskSet:
 # ---------------------------------------------------------------------------
 
 
-def _complement(x: int, width: int) -> int:
-    return x ^ ((1 << width) - 1)
-
-
-def _complement_upper(x: int, width: int) -> int:
-    half = width // 2
-    return x ^ (((1 << half) - 1) << half)
-
-
-def _clone(x: int, width: int) -> int:
-    return x | (x << width)
-
-
 def tree_bitstrings(t: int) -> list:
     """The 2t-1 't additional bitstrings' family for t a power of two.
 
-    Grown from the two-bit seeds {10, 01, 00} by cloning each string and
-    complementing the upper half of the clone, plus one extra string per
-    level: the all-zeros clone with both halves complemented in turn
-    (equivalently the top half of all-ones followed by zeros).  Every
+    Grown from the two-bit seeds {10, 01, 00}: each level doubles the
+    width w by cloning every string y into y y and into y ~y (its upper
+    half complemented), then adds one extra string, w ones followed by w
+    zeros (the 00 clone with both halves complemented in turn).  Every
     pair of outputs, and every output against the all-ones string,
     differs in at least t/2 positions.
     """
@@ -123,21 +110,18 @@ def tree_bitstrings(t: int) -> list:
         raise ValueError("t must be a power of two, at least 2")
     check_block_length(t)
     # seeds: alpha=10, beta=01, gamma=00 as little-endian ints of width 2
-    yis = [0b01, 0b10, 0b00]
-    width = 2
-    while width < t:
-        clones = [_clone(y, width) for y in yis]
-        flipped = [_complement_upper(c, 2 * width) for c in clones]
-        extra = _complement(_complement_upper(clones[2], 2 * width), 2 * width)
-        yis = clones + flipped + [extra]
-        width *= 2
-    return yis
+    ys, w = [0b01, 0b10, 0b00], 2
+    while w < t:
+        ones = (1 << w) - 1
+        ys = [y | y << w for y in ys] + [y | (y ^ ones) << w for y in ys] + [ones]
+        w *= 2
+    return ys
 
 
 def generate_masks_pow2(t: int) -> MaskSet:
     """2t-1 masks of length t (t a power of two): complemented tree strings."""
     ys = tree_bitstrings(t)
-    masks = tuple(_complement(y, t) for y in ys)
+    masks = tuple(y ^ ((1 << t) - 1) for y in ys)
     return MaskSet(block_length=t, masks=masks, strategy=POW2)
 
 
@@ -154,17 +138,12 @@ def generate_masks_even(t: int) -> MaskSet:
         raise ValueError(f"t must be even and at least 2, got t = {t}")
     check_block_length(t)
     base = t & (-t)  # largest power of two dividing t
-    reps = t // base
     base_set = generate_masks_pow2(base)
-    if reps == 1:
+    if base == t:
         return base_set
-    masks = []
-    for m in base_set.masks:
-        tiled = 0
-        for r in range(reps):
-            tiled |= m << (r * base)
-        masks.append(tiled)
-    return MaskSet(block_length=t, masks=tuple(masks), strategy=EVEN)
+    # a base-bit mask times 1 + 2^base + 2^(2 base) + ... is its t / base copies
+    tile = ((1 << t) - 1) // ((1 << base) - 1)
+    return MaskSet(block_length=t, masks=tuple(m * tile for m in base_set.masks), strategy=EVEN)
 
 
 @dataclass(frozen=True)

@@ -24,14 +24,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .magic import lane_words, pack_lanes
+from .magic import ROOT2, T_MAX, lane_words, pack_lanes
+from .stabilizer import insert_row, reduce_row
 
 #: w^k (k = 0..7) for w = e^(i pi / 4)
 _C = math.sqrt(0.5)
 _ROOTS8 = np.array([1, complex(_C, _C), 1j, complex(-_C, _C), -1, complex(-_C, -_C), -1j,
                     complex(_C, -_C)])
-#: 2^(-n/2) for n = 0..3t, at every t fastnorm takes (t <= 1024)
-_SCALES = np.exp2(-0.5 * np.arange(3 * 1024 + 1))
 
 
 class QuadraticFormState(NamedTuple):
@@ -83,16 +82,6 @@ def _random_rows(t: int, count: int, rng) -> list:
             for i in range(0, width * count, width)]
 
 
-def _reduce(row: int, echelon: dict, pivots: int) -> int:
-    """``row`` less the echelon rows of the pivots it hits."""
-    hits = row & pivots
-    while hits:
-        bit = hits & -hits
-        row ^= echelon[bit.bit_length() - 1]
-        hits ^= bit
-    return row
-
-
 def random_stabilizer_state(t: int, rng) -> QuadraticFormState:
     """A uniformly random t-qubit stabilizer state (up to global phase).
 
@@ -109,22 +98,17 @@ def random_stabilizer_state(t: int, rng) -> QuadraticFormState:
     echelon: dict = {}  # pivot column -> row, in reduced echelon form
     pivots = 0
     for row in _random_rows(t, r, rng):
-        row = _reduce(row, echelon, pivots)
+        row = reduce_row(row, echelon, pivots)
         while not row:  # the row was in the span: redraw it
-            row = _reduce(_random_rows(t, 1, rng)[0], echelon, pivots)
-        bit = row & -row
-        for col, other in echelon.items():
-            if other & bit:
-                echelon[col] = other ^ row
-        echelon[bit.bit_length() - 1] = row
-        pivots |= bit
+            row = reduce_row(_random_rows(t, 1, rng)[0], echelon, pivots)
+        pivots |= insert_row(echelon, row)
     a0, l, *q = _random_rows(t, r + 2, rng)
     low = (1 << r) - 1
     # tuples from lists: one built from a generator is resized, so every
     # draw would leave a block in CPython's per-size tuple free lists
     return QuadraticFormState(
         t=t,
-        a0=_reduce(a0, echelon, pivots),
+        a0=reduce_row(a0, echelon, pivots),
         R=tuple([echelon[c] for c in sorted(echelon)]),
         l=l & low,
         Q=tuple([(qj & low) >> j << j for j, qj in enumerate(q)]),
@@ -386,6 +370,7 @@ def form_overlaps(forms: OverlapForms, labels: np.ndarray, t: int) -> np.ndarray
     for lo in range(0, size, tile):
         acc[lo:lo + tile] = _z4_lanes(forms.L, forms.J, form[lo:lo + tile], alive[lo:lo + tile])
     acc = acc.reshape(shift.shape)
-    out = _SCALES[shift - ((acc >> 16) & 0xFFFF)] * _ROOTS8[(acc + forms.phase[:, None]) & 7]
+    scale = ROOT2[3 * T_MAX::-1]  # 2^(-n/2) for the n = 0..3t that t <= T_MAX gives
+    out = scale[shift - ((acc >> 16) & 0xFFFF)] * _ROOTS8[(acc + forms.phase[:, None]) & 7]
     out[acc >= _ZERO] = 0
     return out

@@ -624,27 +624,28 @@ def project_pauli(state: StabilizerState, p: PauliOperator, outcome: int):
 # ---------------------------------------------------------------------------
 
 
-def _add_row(echelon: dict, row: int, width: int) -> None:
-    """Insert a GF(2) row into a reduced echelon form, in place.
+def reduce_row(row: int, echelon: dict, pivots: int) -> int:
+    """``row`` less the echelon rows of the pivots it hits: 0 for a row in
+    their span.  ``echelon`` maps each pivot column (the lowest set bit of its
+    row) to its row, with no row set in another's pivot column (a reduced
+    echelon form), and ``pivots`` has the pivot columns' bits."""
+    hits = row & pivots
+    while hits:
+        bit = hits & -hits
+        row ^= echelon[bit.bit_length() - 1]
+        hits ^= bit
+    return row
 
-    ``echelon`` maps each pivot column (the lowest set bit of its row) to
-    its row; no row has a bit in another row's pivot column.  Bit
-    ``width`` of a row is its right-hand side.  A dependent row is
-    dropped; an inconsistent one raises ValueError.
-    """
-    for col, r in echelon.items():
-        if (row >> col) & 1:
-            row ^= r
-    low = row & ((1 << width) - 1)
-    if not low:
-        if row:
-            raise ValueError("inconsistent GF(2) system")
-        return
-    col = (low & -low).bit_length() - 1
-    for c, r in echelon.items():
-        if (r >> col) & 1:
-            echelon[c] = r ^ row
-    echelon[col] = row
+
+def insert_row(echelon: dict, row: int) -> int:
+    """Add a nonzero ``reduce_row`` result to ``echelon`` in place, clearing
+    its pivot (its lowest set bit) from the other rows; returns the pivot bit."""
+    bit = row & -row
+    for col, other in echelon.items():
+        if other & bit:
+            echelon[col] = other ^ row
+    echelon[bit.bit_length() - 1] = row
+    return bit
 
 
 def _draw_solution(echelon: dict, width: int, rng) -> int:
@@ -679,11 +680,14 @@ def random_clifford_tableau(t: int, rng) -> Tableau:
     the full Clifford group (modulo global phase).  One reduced echelon
     form of the constraints is carried across the rows; being unique, it
     fixes the free columns, hence the rng stream, whatever the row order.
+    The images' pairing rows pair a symplectic basis, so each is independent
+    of the rows before it; bit ``width`` of a row is its right-hand side.
     """
     if t < 1:
         raise ValueError("qubit count must be at least 1")
     width = 2 * t
     echelon: dict = {}
+    pivots = 0
     xs: list = []
     zs: list = []
     for _ in range(t):
@@ -692,12 +696,13 @@ def random_clifford_tableau(t: int, rng) -> Tableau:
             if v != 0:
                 break
         with_v = dict(echelon)
-        _add_row(with_v, _symplectic_pairing_row(v, t) | (1 << width), width)
+        insert_row(with_v, reduce_row(_symplectic_pairing_row(v, t) | 1 << width, echelon, pivots))
         w = _draw_solution(with_v, width, rng)
         xs.append(v)
         zs.append(w)
-        _add_row(echelon, _symplectic_pairing_row(v, t), width)
-        _add_row(echelon, _symplectic_pairing_row(w, t), width)
+        for image in (v, w):
+            row = reduce_row(_symplectic_pairing_row(image, t), echelon, pivots)
+            pivots |= insert_row(echelon, row)
     tab = Tableau(t)
     cols = _transpose(xs + zs, 2 * t)
     tab.x, tab.z = cols[:t], cols[t:]

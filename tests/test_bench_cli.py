@@ -692,3 +692,21 @@ class TestCliCommands:
                          str(circuit_path), "--paulis", "ZZ,+"]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "must be a string" in err[0]
+
+    @pytest.mark.parametrize("record, message", [
+        ({"gate": "T", "qubits": [0]}, "unknown gate 'T'"),
+        ({"gate": "H", "qubits": [0, 1]}, "H takes one qubit"),
+        ({"gate": "CX", "qubits": [0]}, "CX takes two distinct qubits"),
+        ({"gate": "CX", "qubits": [1, 1]}, "CX takes two distinct qubits"),
+    ], ids=["unknown-name", "one-qubit-gate-on-two", "two-qubit-gate-on-one", "repeated-qubit"])
+    def test_estimate_circuit_bad_gate_exit_3(self, record, message, tmp_path, capsys):
+        decomp_path = tmp_path / "d.json"
+        cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",
+                  "--out", str(decomp_path)])
+        circuit_path = tmp_path / "c.json"
+        circuit_path.write_text(json.dumps([record]))
+        capsys.readouterr()
+        assert cli.main(["estimate", "--decomp", str(decomp_path), "--circuit",
+                         str(circuit_path), "--paulis", "ZZ,+"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]

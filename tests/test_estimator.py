@@ -243,6 +243,11 @@ class TestApproxError:
         with pytest.raises(ValueError):
             estimator.approx_error(d, m)
 
+    def test_model_of_another_t_rejected(self):
+        d = magic.sample_iid(magic.magic_model(PI4, 4), 5, np.random.default_rng(13))
+        with pytest.raises(ValueError, match="decomposition and model disagree on t"):
+            estimator.approx_error(d, magic.magic_model(PI4, 3))
+
 
 class TestRho1:
     def test_exact_decomposition_gives_zero(self):
@@ -893,6 +898,11 @@ class TestTargetReferences:
             estimator.target_prob(m, None, [(sb.PauliOperator.from_string("ZZ"), 1)])
         with pytest.raises(ValueError):
             estimator.target_prob(m, sb.CliffordOp(2), [(sb.PauliOperator.from_string("ZZZ"), 1)])
+
+    def test_target_overlap_rejects_model_of_another_t(self):
+        d = magic.sample_iid(magic.magic_model(PI4, 4), 5, np.random.default_rng(53))
+        with pytest.raises(ValueError, match="decomposition and model disagree on t"):
+            estimator.target_overlap(d, magic.magic_model(PI4, 5))
 
     def test_target_overlap_matches_dense(self):
         rng = np.random.default_rng(52)

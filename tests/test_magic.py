@@ -75,6 +75,25 @@ class TestOverlap:
     def test_alpha_bound(self):
         assert magic.ALPHA_BOUND == pytest.approx(0.457, abs=5e-3)
 
+    @pytest.mark.parametrize("phi", [0.0, -0.1, math.pi / 2 + 1e-9, 2.0])
+    def test_phi_outside_range_rejected(self, phi):
+        with pytest.raises(ValueError, match=r"phi must lie in \(0, pi/2\]"):
+            magic.overlap(phi)
+
+
+class TestPowerTable:
+    def test_root2_is_exact_over_its_whole_range(self):
+        # both ends are reached at t = T_MAX: 2^(-3t/2) by a fastnorm overlap
+        # scale and 2^(t/2) by the Gram kernel's amplitude scaling
+        t_max = magic.T_MAX
+        assert magic.ROOT2.shape == (4 * t_max + 1,)
+        for n in range(-3 * t_max, t_max + 1):
+            if n % 2 == 0:
+                want = math.ldexp(1.0, n // 2)
+            else:
+                want = math.ldexp(math.sqrt(2.0), (n - 1) // 2)
+            assert magic.ROOT2[3 * t_max + n] == want, n
+
 
 class TestSampleIid:
     def test_bit_frequency(self):
@@ -223,6 +242,13 @@ class TestGammaBound:
         m = magic.magic_model(PI4, 1024)
         g = magic.gamma_bound(m, masks.generate_masks_pow2(1024), 100)
         assert g == pytest.approx(101, abs=1e-4)
+
+    @pytest.mark.parametrize("f_t", [-1, 16])
+    def test_f_t_outside_mask_count_rejected(self, f_t):
+        m, ms = magic.magic_model(PI4, 8), masks.generate_masks_pow2(8)
+        assert len(ms) == 15
+        with pytest.raises(ValueError, match=r"f_t must lie in \[0, number of masks\]"):
+            magic.gamma_bound(m, ms, f_t)
 
 
 class TestTailBound:

@@ -259,6 +259,58 @@ class TestRandomClifford:
                     assert np.allclose(img, expect, atol=1e-10)
 
 
+def span(rows):
+    out = {0}
+    for row in rows:
+        out |= {v ^ row for v in out}
+    return out
+
+
+def brute_force_rref(rows):
+    """The reduced echelon basis of the rows' span, read off the whole span:
+    the pivots are the lowest set bits of its vectors, and pivot p's row is
+    the one vector with lowest bit p and no other pivot's bit."""
+    vectors = span(rows)
+    mask = sum({v & -v for v in vectors if v})
+    return {(v & -v).bit_length() - 1: v for v in vectors
+            if v and not v & (mask ^ (v & -v))}
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("width", [1, 3, 6, 10, 12, 130])
+    def test_reduce_and_insert_build_the_reduced_echelon_form(self, width):
+        rng = np.random.default_rng(200 + width)
+        for _ in range(20):
+            rows, echelon, pivots = [], {}, 0
+            for _ in range(int(rng.integers(1, min(width, 12) + 4))):
+                dependent = bool(rows) and rng.random() < 0.3
+                if dependent:  # a sum of earlier rows
+                    row = 0
+                    for take, r in zip(rng.integers(2, size=len(rows)).tolist(), rows):
+                        row ^= r if take else 0
+                else:  # a uniform row, or a sparse one that hits few pivots
+                    row = int.from_bytes(rng.bytes(17), "little") % (1 << width)
+                    if rng.random() < 0.5:
+                        row &= int.from_bytes(rng.bytes(17), "little")
+                reduced = sb.reduce_row(row, echelon, pivots)
+                assert not reduced & pivots
+                if dependent:
+                    assert reduced == 0
+                if width <= 12:
+                    assert (reduced == 0) == (row in span(rows))
+                if reduced:
+                    bit = sb.insert_row(echelon, reduced)
+                    assert bit == reduced & -reduced and not pivots & bit
+                    pivots |= bit
+                rows.append(row)
+            assert pivots == sum(1 << c for c in echelon)
+            for col, row in echelon.items():
+                assert row & -row == 1 << col and not row & (pivots ^ 1 << col)
+            assert all(sb.reduce_row(row, echelon, pivots) == 0 for row in rows)
+            if width <= 12:
+                assert echelon == brute_force_rref(rows)
+
+
 class TestPackedTableau:
     @pytest.mark.parametrize("gate", sb.GATE_NAMES)
     def test_rows_match_dense_conjugation(self, gate):
