@@ -83,8 +83,8 @@ class TestOverlap:
 
 class TestPowerTable:
     def test_root2_is_exact_over_its_whole_range(self):
-        # both ends are reached at t = T_MAX: 2^(-3t/2) by a fastnorm overlap
-        # scale and 2^(t/2) by the Gram kernel's amplitude scaling
+        # both ends are read at t = T_MAX: 2^(-3t/2) by a fastnorm overlap
+        # scale and 2^(t/2) by a one-tile Gram overlap 2^(|a & b| - t/2)
         t_max = magic.T_MAX
         assert magic.ROOT2.shape == (4 * t_max + 1,)
         for n in range(-3 * t_max, t_max + 1):
