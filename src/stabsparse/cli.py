@@ -8,11 +8,12 @@ unknown option, or a value of the wrong type); 3 for any value rejected
 after parsing (a bad angle, delta, Pauli chain or mask size, a t outside
 its command's range, checked before a range is expanded, an empty range, a
 step count below 1 or too large for memory, a bench trial, thread or gate
-count out of range, a term count too large to draw, a decomposition with no
-terms, a negative f_t or a t too large to pack, a prefactor that is not
-finite and positive or a phase that is not a finite unit phase, or an input
-or output path that cannot be read, written or parsed), reported as one
-``error:`` line.
+count out of range, a term count too large to draw, a decomposition with a
+t, k or f_t that is not an int, no terms, a negative f_t, an unknown mode,
+a correlated mode whose k is not a multiple of f_t + 1 or a t too large to
+pack, a prefactor that is not finite and positive or a phase that is not a
+finite unit phase, or an input or output path that cannot be read, written
+or parsed), reported as one ``error:`` line.
 """
 
 from __future__ import annotations

@@ -7,18 +7,17 @@ unsigned lane, in one block of plain temporaries when one row tile covers
 every row and otherwise over the upper triangle in row tiles that reuse one
 set of buffers, summed as real 2 x 2 products of [Re a, Im a] with terms in
 canonical order (see ``_gram``); ``exact_sqnorm`` is its P = I case.
-Monte-Carlo norm estimation (``fastnorm``) samples random stabilizer
-states instead, drawn directly by ``quadform``, whose closed-form
-product-term overlaps come from one lane elimination per chunk of
-samples, at every t.  Probability estimation works in the Heisenberg
-picture: one Pauli frame pushes the measured Paulis back through the
-Clifford circuit (``CliffordOp.conjugate_paulis``), and a joint outcome
-probability is a telescoping product of ratios of norms under the
+Monte-Carlo norm estimation (``fastnorm``) samples random stabilizer states
+instead, drawn with their closed-form product-term overlaps by
+``quadform.sample_overlaps`` at every t.  Probability estimation works in
+the Heisenberg picture: one Pauli frame pushes the measured Paulis back
+through the Clifford circuit (``CliffordOp.conjugate_paulis``), and a joint
+outcome probability is a telescoping product of ratios of norms under the
 projected Pauli sums.  One chain evaluator serves estimates and truths:
 ``pauli_prob`` takes the Paulis' values on psi from one Gram call (or
-samples them), ``target_prob`` takes them on the exact magic state from
-its one-qubit Bloch components, and both share the annihilation rule and
-the clamp.  ``target_overlap`` gives <Psi|psi> in O(k t), hence the
+samples them), ``target_prob`` takes them on the exact magic state from its
+one-qubit Bloch components, and both share the annihilation rule and the
+clamp.  ``target_overlap`` gives <Psi|psi> in O(k t), hence the
 sparsification error at any t.  ``approx_error``, the ``rho1_*``
 diagnostics and ``sqnorm_terms`` stay as dense and CH-form test oracles;
 they are the module's only users of ``dense``.
@@ -36,7 +35,7 @@ from . import dense
 from .magic import (ROOT2, T_MAX, MagicModel, SparseDecomposition, dense_decomposition,
                     dense_target, lane_words)
 from .magic import to_states  # noqa: F401  (unused here; perfbench traces it at this name)
-from .quadform import chunk_states, form_overlaps, overlap_forms, random_stabilizer_state
+from .quadform import sample_overlaps
 from .stabilizer import (
     CliffordOp,
     apply_clifford,  # noqa: F401  (unused here; perfbench traces it at this name)
@@ -223,14 +222,11 @@ def fastnorm(decomp: SparseDecomposition, m_samples: int, rng) -> NormEstimate:
 def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int, rng) -> float:
     """(2^t / M) sum_j |<theta_j| O |psi>|^2 for O = sum c X^x Z^z, {(x, z): c}.
 
-    The states theta_j are ``random_stabilizer_state`` draws, made in chunks
-    of ``chunk_states`` samples, whose lanes (one per sample, Pauli and
-    term) fill at most one lane tile.  Only the draws use the rng, so its
-    stream is that of one draw per sample.  ``overlap_forms`` builds each
-    (state, Pauli) form once, one ``form_overlaps`` call gives every
-    <phi_b| Z^z X^x |theta> of a chunk, and each sample sums its terms'
-    conj(overlap) phase with ``np.vdot``, in sample order.  The 2^t scaling
-    is exact (``ldexp``) and, like the Gram kernel's, covers t <= ``T_MAX``.
+    ``sample_overlaps`` draws the states theta_j and gives each sample's
+    <phi_b| Z^z X^x |theta_j> for every Pauli and term; only its draws use
+    the rng.  Each sample sums its terms' conj(overlap) phase with
+    ``np.vdot``, in sample order.  The 2^t scaling is exact (``ldexp``)
+    and, like the Gram kernel's, covers t <= ``T_MAX``.
     """
     if isinstance(m_samples, bool) or not isinstance(m_samples, (int, np.integer)):
         raise ValueError(f"sample count must be an int, got {m_samples!r}")
@@ -241,16 +237,12 @@ def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int
     t = decomp.t
     if t > T_MAX:
         raise ValueError(f"fastnorm's 2^t scaling covers t <= {T_MAX}")
-    labels, phases = decomp.labels, decomp.phases()
+    phases = decomp.phases()
     keys, coeffs = list(pauli_sum), list(pauli_sum.values())
-    per = chunk_states(t, len(keys) * len(labels))
     total = 0.0
-    for done in range(0, m_samples, per):
-        states = [random_stabilizer_state(t, rng) for _ in range(min(per, m_samples - done))]
-        chunk = form_overlaps(overlap_forms(states, keys), labels, t)
-        for row in chunk.reshape(len(states), len(keys), len(labels)):
-            amp = sum(c * np.vdot(overlaps, phases) for c, overlaps in zip(coeffs, row))
-            total += abs(decomp.prefactor * amp) ** 2
+    for row in sample_overlaps(t, keys, decomp.labels, m_samples, rng):
+        amp = sum(c * np.vdot(overlaps, phases) for c, overlaps in zip(coeffs, row))
+        total += abs(decomp.prefactor * amp) ** 2
     return float(math.ldexp(total, t) / m_samples)
 
 

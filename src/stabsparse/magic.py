@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .masks import MaskSet, popcount
-from .stabilizer import StabilizerState, product_state_from_bits
+from .stabilizer import product_state_from_bits
 
 IID = "IID"
 THEOREM1 = "THEOREM1"
@@ -154,6 +154,11 @@ class SparseDecomposition:
             raise ValueError("entry count must equal k")
         if f_t < 0:
             raise ValueError(f"f_t must be nonnegative, got f_t = {f_t}")
+        if mode not in (IID, THEOREM1, THEOREM2):
+            raise ValueError(f"unknown decomposition mode {mode!r}")
+        if mode != IID and k % (f_t + 1):  # else the last group would run past k
+            raise ValueError(f"a {mode} decomposition needs k to be a multiple of "
+                             f"f_t + 1 = {f_t + 1}, got k = {k}")
         labels.setflags(write=False)
         phases.setflags(write=False)
         # past the frozen __setattr__, as a dataclass __init__ would
@@ -202,10 +207,12 @@ class SparseDecomposition:
                 (int(e["x"], 16), complex(e["phase"][0], e["phase"][1]))
                 for e in data["entries"]
             )
-            t = int(data["t"])
+            t, k, f_t, mode = data["t"], data["k"], data.get("f_t", 0), data["mode"]
+            for name, value in (("t", t), ("k", k), ("f_t", f_t)):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise ValueError(f"decomposition {name} must be an int, got {name} = {value!r}")
             if t < 1:
                 raise ValueError(f"decomposition needs t >= 1, got t = {t}")
-            k = int(data["k"])
             if k < 1:
                 raise ValueError(f"decomposition needs k >= 1 entries, got k = {k}")
             for x, phase in entries:
@@ -218,7 +225,7 @@ class SparseDecomposition:
             prefactor = float(data["prefactor"])
             if not (math.isfinite(prefactor) and prefactor > 0.0):
                 raise ValueError(f"prefactor {prefactor} is not finite and positive")
-            return cls(t, k, prefactor, entries, data["mode"], int(data.get("f_t", 0)))
+            return cls(t, k, prefactor, entries, mode, f_t)
         except (KeyError, IndexError, TypeError) as exc:
             msg = f"malformed decomposition JSON ({type(exc).__name__}: {exc})"
             raise ValueError(msg) from None

@@ -25,6 +25,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from .stabilizer import insert_row, reduce_row
+
 EVEN = "EVEN"
 POW2 = "POW2"
 #: the largest block length generated: 2t - 1 masks of t bits are 64 MB of ints
@@ -59,7 +61,12 @@ class MaskSet:
         return min(popcount(m) for m in self.masks)
 
     def min_pairwise_distance(self) -> int:
+        """Least Hamming distance over pairs of masks.  When the masks and 0
+        are closed under XOR (``_xor_closed``), the XOR of two masks is a
+        third, so it is the least mask weight; other sets compare every pair."""
         ms = self.masks
+        if len(ms) > 1 and _xor_closed(ms):
+            return self.min_weight()
         best = self.block_length
         for i in range(len(ms)):
             for j in range(i + 1, len(ms)):
@@ -89,6 +96,19 @@ class MaskSet:
     def load(cls, path: str) -> "MaskSet":
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _xor_closed(masks: tuple) -> bool:
+    """Whether the masks and 0 are closed under XOR: 0 is not a mask and the
+    masks are 2^d - 1 distinct ints, d the rank of their span (by the shared
+    echelon, ``stabilizer.reduce_row``), so they are its nonzero vectors."""
+    echelon: dict = {}
+    pivots = 0
+    for m in masks:
+        row = reduce_row(m, echelon, pivots)
+        if row:
+            pivots |= insert_row(echelon, row)
+    return 0 not in masks and len(set(masks)) == len(masks) == (1 << len(echelon)) - 1
 
 
 # ---------------------------------------------------------------------------

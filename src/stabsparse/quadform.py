@@ -5,13 +5,13 @@ A t-qubit stabilizer state is, up to global phase,
 y in F2^r (Dehaene-De Moor, quant-ph/0304125).  ``random_stabilizer_state``
 draws it uniformly without a Clifford circuit.  Its overlaps with the
 |0>/|+> product terms of a decomposition under a Pauli are exponential
-sums over Z4 forms (Bravyi-Gosset, arXiv:1601.07601): ``overlap_forms``
-builds one O(t^2) form per state and Pauli, with the Pauli's move of the
-support folded in once, for many states in a few numpy calls, and each
-term restricts a form to its own variables, with no per-term shift.
-``form_overlaps`` sums every term of many forms in one numpy elimination
-whose lanes are the (form, term) pairs, by one path at every t:
-fastnorm's only sampler.  Bit q of an int is qubit q, as in ``stabilizer``.
+sums over Z4 forms (Bravyi-Gosset, arXiv:1601.07601): ``overlaps`` builds
+one O(t^2) form per state and Pauli, with the Pauli's move of the support
+folded in once, for many states in a few numpy calls, and sums every term
+of every form in one numpy elimination whose lanes are the (form, term)
+pairs, by one path at every t.  ``sample_overlaps``, fastnorm's sampler,
+draws the states in chunks and yields their overlaps one sample at a
+time.  Bit q of an int is qubit q, as in ``stabilizer``.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ def random_stabilizer_state(t: int, rng) -> QuadraticFormState:
 
 
 #: the size of a chunk: lanes x t x words of J in one elimination tile,
-#: and states x t x t bits in one batch of ``overlap_forms``
+#: and states x t x t bits in one batch of ``overlaps``
 _LANE_ENTRIES = 1 << 18
 
 
@@ -273,42 +273,31 @@ def _bits(values: Sequence[int], t: int) -> np.ndarray:
     return np.unpackbits(lane_words(values, t).view(np.uint8), axis=1, count=t, bitorder="little")
 
 
-class OverlapForms(NamedTuple):
-    """The Z4 forms of F (state, Pauli) pairs, as ``_z4_lanes`` reads them.
-
-    Form f has ``L[f]`` (t linear terms mod 4, uint8) and ``J[f]`` (t pair
-    masks, ``lane_words`` rows) over all t variables, pivots and checks.
-    A label b sums the variables ``pivots[f] & b`` and ``~pivots[f] & ~b``,
-    and its overlap is 2^((e - 2 |~pivots & ~b| - |b| - rank)/2) w^(k + phase)
-    for the sum's (e, k).
-    """
-
-    L: np.ndarray
-    J: np.ndarray
-    pivots: np.ndarray
-    rank: np.ndarray
-    phase: np.ndarray
-
-
-def overlap_forms(states: Sequence[QuadraticFormState], keys: Sequence) -> OverlapForms:
-    """The forms of <phi_b| Z^z X^x |theta> over all labels b, for every
-    state theta and Pauli (x, z) in ``keys``, state-major.
+def overlaps(states: Sequence[QuadraticFormState], keys: Sequence,
+             labels: np.ndarray) -> np.ndarray:
+    """(len(states) * len(keys), len(labels)) complex128 <phi_b| Z^z X^x |theta>,
+    one row per state theta and Pauli (x, z) in ``keys``, state-major, with
+    the labels b as ``lane_words`` rows.
 
     X^x moves a0 to a = a0 ^ x, and Z^z adds a sign and flips q's diagonal
-    by parity(z & R_j).  Once per form, y = s ^ y' with s = a's pivot bits
-    adds s's rows to a, so that a is zero on the pivots: y' gains 2 in its
-    i-phase at l_n s_n = 1 and at parity(q's pairs of n & s) = 1, and the
-    sum one constant phase.  A support point's pivot bits are then y'
-    itself, so a point inside b fixes y' = 0 off b, and each non-pivot
-    column c outside b asks parity(y' & column c) = a_c.  Each such check
-    enters the sum as one more variable v_c, through
+    by parity(z & R_j).  Once per (state, Pauli) form, y = s ^ y' with
+    s = a's pivot bits adds s's rows to a, so that a is zero on the pivots:
+    y' gains 2 in its i-phase at l_n s_n = 1 and at parity(q's pairs of
+    n & s) = 1, and the sum one constant phase.  A support point's pivot
+    bits are then y' itself, so a point inside b fixes y' = 0 off b, and
+    each non-pivot column c outside b asks parity(y' & column c) = a_c.
+    Each such check enters the sum as one more variable v_c, through
     [check] = 1/2 sum_v (-1)^(v (y' . column c + a_c)).  So a pivot n has
     L = l_n + 2 (q_nn (after Z^z) + l_n s_n + parity(q's pairs of n & s))
     and J = q's pairs and its row's check columns, and a check c has
     L = 2 a_c and J = the pivots of the rows through c (Bravyi-Gosset,
     arXiv:1601.07601).  Every state is a t x t bit matrix with row j at
     its pivot column, so all forms come from a few numpy calls, and the
-    products that only need parities run in uint8.
+    products that only need parities run in uint8.  A label b sums the
+    variables ``pivots & b`` and ``~pivots & ~b`` of a form, and its overlap
+    is 2^((e - 2 |~pivots & ~b| - |b| - rank)/2) w^(k + phase) for the
+    sum's (e, k), or 0: every label of every form is one lane of
+    ``_z4_lanes``, in tiles of ``lane_tile(t)`` lanes.
     """
     t, count, per = states[0].t, len(states), len(keys)
     # t + 1 bit columns and t + 1 rows a state, each state's rows padded
@@ -333,7 +322,7 @@ def overlap_forms(states: Sequence[QuadraticFormState], keys: Sequence) -> Overl
     pairs = Qc & upper
     sym = pairs | pairs.transpose(0, 2, 1)
     checks = Rc & off
-    J = sym | checks | checks.transpose(0, 2, 1)
+    J = pack_lanes(sym | checks | checks.transpose(0, 2, 1)).repeat(per, axis=0)
     # per Pauli: a = a0 ^ x and its pivot bits s.  Products in uint8 are
     # counts mod 256, and only their parities are read.  A pivot's L reads
     # s @ sym and a check's L reads a ^ s @ R, which is 0 at every pivot,
@@ -342,35 +331,34 @@ def overlap_forms(states: Sequence[QuadraticFormState], keys: Sequence) -> Overl
     s = a & pivot[:, None]
     diag = Qc[:, cols, cols][:, None] ^ z @ Rc.transpose(0, 2, 1)
     both = lin & s
-    L = (lin + 2 * (diag ^ both ^ a ^ s @ (sym | Rc))) & 3
+    L = ((lin + 2 * (diag ^ both ^ a ^ s @ (sym | Rc))) & 3).reshape(count * per, t)
     # 2 |lin & s| + 4 (|diag & s| + s^T pairs s + |a & z|), mod 8
     doubled = (s & (diag ^ s @ pairs.transpose(0, 2, 1))) ^ a & z
-    phase = (2 * both + 4 * doubled).sum(axis=-1) % 8
-    return OverlapForms(
-        L=L.reshape(count * per, t),
-        J=pack_lanes(J).repeat(per, axis=0),
-        pivots=pack_lanes(pivot).repeat(per, axis=0),
-        rank=np.array([len(st.R) for st in states], np.int64).repeat(per),
-        phase=phase.reshape(-1).astype(np.int64),
-    )
-
-
-def form_overlaps(forms: OverlapForms, labels: np.ndarray, t: int) -> np.ndarray:
-    """(len(forms.L), len(labels)) complex128 overlaps, one row per form,
-    with the labels as ``lane_words`` rows: each the ``OverlapForms`` value
-    of its sum's (e, k), or 0.  Every label of every form is one lane of
-    ``_z4_lanes``, in tiles of ``lane_tile(t)`` lanes."""
-    count, width = labels.shape
-    size = len(forms.L) * count
-    checks = (forms.pivots ^ lane_words([(1 << t) - 1], t))[:, None] & ~labels
-    alive = ((forms.pivots[:, None] & labels) | checks).reshape(size, width)
-    shift = 2 * np.bitwise_count(checks).sum(axis=-1, dtype=np.int64)
-    shift += np.bitwise_count(labels).sum(axis=-1, dtype=np.int64) + forms.rank[:, None]
-    form, acc, tile = np.arange(len(forms.L)).repeat(count), np.empty(size, np.int64), lane_tile(t)
+    phase = ((2 * both + 4 * doubled).sum(axis=-1) % 8).reshape(-1).astype(np.int64)
+    pivots = pack_lanes(pivot).repeat(per, axis=0)
+    rank = np.array([len(st.R) for st in states], np.int64).repeat(per)
+    # lanes: each form's pivots inside b and its checks outside b, per label b
+    size = len(L) * len(labels)
+    outside = (pivots ^ lane_words([(1 << t) - 1], t))[:, None] & ~labels
+    alive = ((pivots[:, None] & labels) | outside).reshape(size, labels.shape[1])
+    shift = 2 * np.bitwise_count(outside).sum(axis=-1, dtype=np.int64)
+    shift += np.bitwise_count(labels).sum(axis=-1, dtype=np.int64) + rank[:, None]
+    form, acc, tile = np.arange(len(L)).repeat(len(labels)), np.empty(size, np.int64), lane_tile(t)
     for lo in range(0, size, tile):
-        acc[lo:lo + tile] = _z4_lanes(forms.L, forms.J, form[lo:lo + tile], alive[lo:lo + tile])
+        acc[lo:lo + tile] = _z4_lanes(L, J, form[lo:lo + tile], alive[lo:lo + tile])
     acc = acc.reshape(shift.shape)
     scale = ROOT2[3 * T_MAX::-1]  # 2^(-n/2) for the n = 0..3t that t <= T_MAX gives
-    out = scale[shift - ((acc >> 16) & 0xFFFF)] * _ROOTS8[(acc + forms.phase[:, None]) & 7]
+    out = scale[shift - ((acc >> 16) & 0xFFFF)] * _ROOTS8[(acc + phase[:, None]) & 7]
     out[acc >= _ZERO] = 0
     return out
+
+
+def sample_overlaps(t: int, keys: Sequence, labels: np.ndarray, m: int, rng):
+    """Yield, for each of m samples in order, the (len(keys), len(labels))
+    ``overlaps`` of one fresh ``random_stabilizer_state``.  The draws come in
+    chunks of ``chunk_states`` samples, one state a sample, so the rng's
+    stream is that of one draw per sample and no state is drawn unused."""
+    per = chunk_states(t, len(keys) * len(labels))
+    for done in range(0, m, per):
+        states = [random_stabilizer_state(t, rng) for _ in range(min(per, m - done))]
+        yield from overlaps(states, keys, labels).reshape(len(states), len(keys), len(labels))

@@ -649,6 +649,29 @@ class TestCliCommands:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
 
+    @pytest.mark.parametrize("fields, needle", [
+        # each of these used to load: int() truncated 4.7, 2.9 and 1.5
+        ({"t": 4.7}, "decomposition t must be an int, got t = 4.7"),
+        ({"k": 2.9}, "decomposition k must be an int, got k = 2.9"),
+        ({"f_t": 1.5}, "decomposition f_t must be an int, got f_t = 1.5"),
+        ({"t": True}, "decomposition t must be an int, got t = True"),
+        ({"mode": "BOGUS"}, "unknown decomposition mode 'BOGUS'"),
+        # its groups would run past k
+        ({"mode": "THEOREM1", "f_t": 2}, "needs k to be a multiple of f_t + 1 = 3, got k = 2"),
+        ({"mode": "THEOREM2", "f_t": 3}, "needs k to be a multiple of f_t + 1 = 4, got k = 2"),
+    ], ids=["t-float", "k-float", "f-t-float", "t-bool", "mode-unknown", "theorem1-groups",
+         "theorem2-groups"])
+    def test_estimate_malformed_decomposition_fields_exit_3(self, fields, needle, tmp_path,
+                                                            capsys):
+        data = {"t": 4, "k": 2, "prefactor": 1.0, "mode": "THEOREM1", "f_t": 1,
+                "entries": [{"x": "3", "phase": [1.0, 0.0]}, {"x": "c", "phase": [0.0, 1.0]}]}
+        assert magic.SparseDecomposition.from_json(data).groups == ((0, 2),)
+        decomp_path = tmp_path / "d.json"
+        decomp_path.write_text(json.dumps({**data, **fields}))
+        assert cli.main(["estimate", "--decomp", str(decomp_path), "--paulis", "ZZZZ,+"]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and needle in err[0]
+
     def test_estimate_circuit_missing_qubits_exit_3(self, tmp_path, capsys):
         decomp_path = tmp_path / "d.json"
         cli.main(["sparsify", "--t", "2", "--delta", "0.4", "--seed", "1",

@@ -193,11 +193,10 @@ class TestFastnorm:
         pauli_sum = {(0, 0): 0.5, (bits[0], bits[1]): 0.25j, (bits[2], 0): -0.5, (0, bits[3]): 0.5}
         labels = magic.lane_words([b for b, _ in d.entries], t)
         states = [quadform.random_stabilizer_state(t, rng) for _ in range(5)]
-        forms = quadform.overlap_forms(states, pauli_sum)
 
         def run():
             value = estimator._sampled_sqnorm(d, pauli_sum, 6, np.random.default_rng(7))
-            return value, quadform.form_overlaps(forms, labels, t)
+            return value, quadform.overlaps(states, pauli_sum, labels)
 
         assert 6 * len(pauli_sum) * d.k >= quadform._SHED_LANES
         value, overlaps = run()

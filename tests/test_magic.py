@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -430,6 +431,18 @@ class TestTermArrays:
         with pytest.raises(ValueError, match="entry count must equal k"):
             magic.SparseDecomposition(t=3, k=2, prefactor=1.0, mode=magic.IID,
                                       labels=np.zeros((2, 1), np.uint8), phases=np.ones(1))
+
+    @pytest.mark.parametrize("mode, f_t, needle", [
+        ("BOGUS", 0, "unknown decomposition mode 'BOGUS'"),
+        (magic.THEOREM1, 2, "multiple of f_t + 1 = 3, got k = 2"),
+        (magic.THEOREM2, 3, "multiple of f_t + 1 = 4, got k = 2"),
+    ], ids=["mode-unknown", "theorem1-groups", "theorem2-groups"])
+    def test_mode_and_group_size_checked(self, mode, f_t, needle):
+        # groups of f_t + 1 must tile the k terms, or the last runs past k
+        entries = ((3, 1.0), (12, 1j))
+        assert magic.SparseDecomposition(4, 2, 1.0, entries, magic.THEOREM1, 1).groups == ((0, 2),)
+        with pytest.raises(ValueError, match=re.escape(needle)):
+            magic.SparseDecomposition(4, 2, 1.0, entries, mode, f_t)
 
 
 def reference_entries(model, seeds, shifts):

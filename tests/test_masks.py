@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -123,6 +125,33 @@ class TestVerify:
         report = mk.verify_mask_set(ms)
         assert not report.ok
         assert report.min_weight == 1
+
+
+def pairwise_distance(masks):
+    """The least distance over every pair of masks, pair by pair."""
+    return min((a ^ b).bit_count() for a, b in itertools.combinations(masks, 2))
+
+
+class TestClosedSets:
+    def test_generated_sets_match_the_pairwise_loop(self):
+        # every generated set is closed under XOR, so its distance is read
+        # off the least weight; pair by pair gives the same at each even t
+        for t in range(2, 513, 2):
+            ms = mk.generate_masks_even(t)
+            assert mk._xor_closed(ms.masks)
+            assert ms.min_pairwise_distance() == pairwise_distance(ms.masks) == t // 2
+
+    @pytest.mark.parametrize("masks", [
+        (0b111, 0b001),  # two of the three nonzero vectors of their span
+        (0b000, 0b001, 0b010),  # 2^2 - 1 masks, but one is 0
+        (0b01, 0b10, 0b10),  # a repeated mask
+        (0b001, 0b010, 0b100),  # 2^2 - 1 masks of rank 3
+    ], ids=["subset", "zero", "repeat", "rank-too-high"])
+    def test_open_sets_compare_every_pair(self, masks):
+        ms = mk.MaskSet(3, masks, "POW2")
+        assert not mk._xor_closed(masks)
+        assert ms.min_pairwise_distance() == pairwise_distance(masks)
+        assert ms.min_pairwise_distance() != ms.min_weight()
 
 
 class TestSerialization:

@@ -145,9 +145,8 @@ def dense_overlaps(st, x, z):
 
 
 def overlaps(st, labels, x=0, z=0):
-    """<phi_b| Z^z X^x |theta> for each label b: one form, one ``form_overlaps`` row."""
-    forms = qf.overlap_forms([st], [(x, z)])
-    return qf.form_overlaps(forms, magic.lane_words(labels, st.t), st.t)[0]
+    """<phi_b| Z^z X^x |theta> for each label b: one form, one ``overlaps`` row."""
+    return qf.overlaps([st], [(x, z)], magic.lane_words(labels, st.t))[0]
 
 
 def z4_sum(L, J, alive):
@@ -280,6 +279,23 @@ class TestProductOverlaps:
         assert h.hexdigest() == (
             "76f67dc5ab1883a44a8c7c9eac8c5307d3fd320de183c3b4754d3e6e755fe516"
         )
+
+    @pytest.mark.parametrize("t", [8, 70])
+    def test_many_keys_equal_one_key_calls(self, t):
+        # one call over several Paulis gives each Pauli's rows of its own
+        # one-key call bit for bit, as complex128 bytes: the forms of a state
+        # share its R, Q and l, and each Pauli's move stays in its own form
+        rng = np.random.default_rng(760 + t)
+        states = [qf.random_stabilizer_state(t, rng) for _ in range(3)]
+        keys = [(0, 0), (random_bits(rng, t), random_bits(rng, t)), (random_bits(rng, t), 0),
+                (0, random_bits(rng, t))]
+        bits = [st.a0 | (random_bits(rng, t) & random_bits(rng, t)) for st in states * 4]
+        labels = magic.lane_words(bits + [random_bits(rng, t) for _ in range(8)], t)
+        many = qf.overlaps(states, keys, labels).reshape(len(states), len(keys), len(labels))
+        assert np.count_nonzero(many) and not np.all(many)
+        for j, key in enumerate(keys):
+            one = qf.overlaps(states, [key], labels)
+            assert one.tobytes() == np.ascontiguousarray(many[:, j]).tobytes()
 
     def test_z4_sum_ignores_self_bits_and_bits_outside_alive(self):
         # the invariant behind building the form once per call: only bits of
