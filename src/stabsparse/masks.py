@@ -89,8 +89,13 @@ class MaskSet:
         )
 
     def save(self, path: str) -> None:
+        """``json.dump(self.to_json(), fh, indent=1)``'s bytes, one mask at a time."""
+        head = json.dumps({"block_length": self.block_length, "strategy": self.strategy}, indent=1)
         with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
+            fh.write(head[:-2] + ',\n "masks": [')
+            for i, m in enumerate(self.masks):
+                fh.write(f'{"," if i else ""}\n  "{m:x}"')
+            fh.write("\n ]\n}" if self.masks else "]\n}")
 
     @classmethod
     def load(cls, path: str) -> "MaskSet":
@@ -141,8 +146,9 @@ def tree_bitstrings(t: int) -> list:
 def generate_masks_pow2(t: int) -> MaskSet:
     """2t-1 masks of length t (t a power of two): complemented tree strings."""
     ys = tree_bitstrings(t)
-    masks = tuple(y ^ ((1 << t) - 1) for y in ys)
-    return MaskSet(block_length=t, masks=masks, strategy=POW2)
+    for i, y in enumerate(ys):  # in place: each tree string is freed as it goes
+        ys[i] = y ^ ((1 << t) - 1)
+    return MaskSet(block_length=t, masks=tuple(ys), strategy=POW2)
 
 
 def generate_masks_even(t: int) -> MaskSet:

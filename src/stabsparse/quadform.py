@@ -2,16 +2,16 @@
 
 A t-qubit stabilizer state is, up to global phase,
 ``theta(x) = 2^(-r/2) sum_y [x = a0 ^ yR] i^(l.y) (-1)^(q(y))`` over
-y in F2^r (Dehaene-De Moor, quant-ph/0304125).  ``random_stabilizer_state``
-draws it uniformly without a Clifford circuit.  Its overlaps with the
-|0>/|+> product terms of a decomposition under a Pauli are exponential
-sums over Z4 forms (Bravyi-Gosset, arXiv:1601.07601): ``overlaps`` builds
-one O(t^2) form per state and Pauli, with the Pauli's move of the support
-folded in once, for many states in a few numpy calls, and sums every term
-of every form in one numpy elimination whose lanes are the (form, term)
-pairs, by one path at every t.  ``sample_overlaps``, fastnorm's sampler,
-draws the states in chunks and yields their overlaps one sample at a
-time.  Bit q of an int is qubit q, as in ``stabilizer``.
+y in F2^r (Dehaene-De Moor, quant-ph/0304125).  ``_draw`` draws a chunk of
+them uniformly, with no Clifford circuit, in two stages: a span test per
+row in Python ints, then one numpy back-substitution to canonical form.
+Overlaps with the |0>/|+> product terms of a decomposition under a Pauli
+are exponential sums over Z4 forms (Bravyi-Gosset, arXiv:1601.07601):
+``_overlaps`` builds one O(t^2) form per state and Pauli from the chunk's
+arrays and sums every term of every form in one numpy elimination whose
+lanes are the (form, term) pairs.  ``sample_overlaps`` (fastnorm's sampler)
+runs the two per chunk; ``random_stabilizer_state`` and ``overlaps`` wrap
+them for ``QuadraticFormState``s.  Bit q of an int is qubit q.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .magic import ROOT2, T_MAX, lane_words, pack_lanes
-from .stabilizer import insert_row, reduce_row
 
 #: w^k (k = 0..7) for w = e^(i pi / 4)
 _C = math.sqrt(0.5)
@@ -75,44 +74,72 @@ def _random_rows(t: int, count: int, rng) -> list:
     """``count`` uniform t-bit ints from one draw of raw 64-bit words."""
     mask = (1 << t) - 1
     if t <= 64:
-        return [v & mask for v in rng.bit_generator.random_raw(count).tolist()]
+        return (rng.bit_generator.random_raw(count) & mask).tolist()
     width = 8 * -(-t // 64)
     data = rng.bit_generator.random_raw(width // 8 * count).astype("<u8").tobytes()
     return [int.from_bytes(data[i:i + width], "little") & mask
             for i in range(0, width * count, width)]
 
 
-def random_stabilizer_state(t: int, rng) -> QuadraticFormState:
-    """A uniformly random t-qubit stabilizer state (up to global phase).
+def _draw(t: int, count: int, rng) -> np.ndarray:
+    """``count`` uniformly random t-qubit stabilizer states (up to global
+    phase), one after another from ``rng``, as (count, 2t + 2, width)
+    ``lane_words``: per state a0, the t rows of R by pivot (0 off the
+    pivots), l, the r rows of Q and t - r zeros.  l and Q are as drawn: no
+    reader looks at bits of l from r on, nor of Q[j] below j or from r on.
 
     The support dimension r is drawn with weight ``support_dimension_counts``.
     The subspace is the row space of r uniform rows, each redrawn while it
-    lies in the span of the rows before it: that makes the matrix uniform
-    over the full-rank ones, so its row space is uniform.  a0, l and Q are
-    uniform bits, with a0 reduced by the pivots.  Each state has one
-    canonical form, so the draw is uniform over the states.
+    lies in the span of the rows before it (tested in Python ints on a
+    forward echelon, whose row p has its lowest set bit at p): that makes the
+    matrix uniform over the full-rank ones, so its row space is uniform.  a0,
+    l and Q are uniform bits.  One numpy back-substitution over the chunk then
+    reduces the rows and a0 to the one canonical form of each state, so the
+    draw is uniform over the states.
     """
     if t < 1:
         raise ValueError("qubit count must be at least 1")
-    r = bisect.bisect_right(_support_cdf(t), rng.random())
-    echelon: dict = {}  # pivot column -> row, in reduced echelon form
-    pivots = 0
-    for row in _random_rows(t, r, rng):
-        row = reduce_row(row, echelon, pivots)
-        while not row:  # the row was in the span: redraw it
-            row = reduce_row(_random_rows(t, 1, rng)[0], echelon, pivots)
-        pivots |= insert_row(echelon, row)
-    a0, l, *q = _random_rows(t, r + 2, rng)
-    low = (1 << r) - 1
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise ValueError(f"{type(rng.bit_generator).__name__} gives 32-bit raw words, and a "
+                         "stabilizer draw needs 64-bit ones (PCG64, Philox or SFC64)")
+    cdf, values = _support_cdf(t), []
+    for _ in range(count):
+        r = bisect.bisect_right(cdf, rng.random())
+        rows = [0] * (t + 1)  # rows[p + 1]: the row whose lowest set bit is p
+        for row in _random_rows(t, r, rng):
+            while True:
+                p = (row & -row).bit_length()
+                while other := rows[p]:
+                    row ^= other
+                    p = (row & -row).bit_length()
+                if p:
+                    break
+                row = _random_rows(t, 1, rng)[0]  # the row was in the span: redraw it
+            rows[p] = row
+        rows[0], *lq = _random_rows(t, r + 2, rng)
+        values += rows + lq + [0] * (t - r)
+    words = lane_words(values, t).reshape(count, 2 * t + 2, -1).copy()
+    # from the highest column p down, reduced row p clears bit p from a0 and
+    # lower rows; rows of higher pivots lack bit p, so it is still as drawn
+    echelon = words[:, :t + 1]
+    drawn = np.unpackbits(echelon.view(np.uint8), axis=-1, count=t, bitorder="little")
+    for p in range(t - 1, -1, -1):
+        echelon[:, :p + 1] ^= drawn[:, :p + 1, p, None] * echelon[:, p + 1, None]
+    return words
+
+
+def random_stabilizer_state(t: int, rng) -> QuadraticFormState:
+    """A uniformly random t-qubit stabilizer state (up to global phase): one
+    ``_draw`` as a ``QuadraticFormState``."""
+    words = _draw(t, 1, rng)[0]
+    a0, *values = (words[:, 0].tolist() if t <= 64 else
+                   [int.from_bytes(w.tobytes(), "little") for w in words])
     # tuples from lists: one built from a generator is resized, so every
     # draw would leave a block in CPython's per-size tuple free lists
-    return QuadraticFormState(
-        t=t,
-        a0=reduce_row(a0, echelon, pivots),
-        R=tuple([echelon[c] for c in sorted(echelon)]),
-        l=l & low,
-        Q=tuple([(qj & low) >> j << j for j, qj in enumerate(q)]),
-    )
+    R = tuple([row for row in values[:t] if row])
+    low, q = (1 << len(R)) - 1, values[t + 1:t + 1 + len(R)]
+    return QuadraticFormState(t, a0, R, values[t] & low,
+                              tuple([(qj & low) >> j << j for j, qj in enumerate(q)]))
 
 
 #: the size of a chunk: lanes x t x words of J in one elimination tile,
@@ -268,16 +295,22 @@ def _z4_lanes(L: np.ndarray, J: np.ndarray, form: np.ndarray, alive: np.ndarray)
                          ^ bt[..., None] * (N ^ T * jodd[:, None])[:, None])
 
 
-def _bits(values: Sequence[int], t: int) -> np.ndarray:
-    """(len(values), t) uint8 bits of t-bit ints, bit q in column q."""
-    return np.unpackbits(lane_words(values, t).view(np.uint8), axis=1, count=t, bitorder="little")
-
-
 def overlaps(states: Sequence[QuadraticFormState], keys: Sequence,
              labels: np.ndarray) -> np.ndarray:
     """(len(states) * len(keys), len(labels)) complex128 <phi_b| Z^z X^x |theta>,
     one row per state theta and Pauli (x, z) in ``keys``, state-major, with
-    the labels b as ``lane_words`` rows.
+    the labels b as ``lane_words`` rows: ``_overlaps`` of the states' words."""
+    t, values = states[0].t, []
+    for st in states:
+        rows = [0] * t
+        for row in st.R:
+            rows[(row & -row).bit_length() - 1] = row
+        values += [st.a0, *rows, st.l, *st.Q] + [0] * (t - len(st.Q))
+    return _overlaps(t, lane_words(values, t).reshape(len(states), 2 * t + 2, -1), keys, labels)
+
+
+def _overlaps(t: int, words: np.ndarray, keys: Sequence, labels: np.ndarray) -> np.ndarray:
+    """``overlaps`` of the states in ``_draw``'s words.
 
     X^x moves a0 to a = a0 ^ x, and Z^z adds a sign and flips q's diagonal
     by parity(z & R_j).  Once per (state, Pauli) form, y = s ^ y' with
@@ -299,25 +332,16 @@ def overlaps(states: Sequence[QuadraticFormState], keys: Sequence,
     sum's (e, k), or 0: every label of every form is one lane of
     ``_z4_lanes``, in tiles of ``lane_tile(t)`` lanes.
     """
-    t, count, per = states[0].t, len(states), len(keys)
-    # t + 1 bit columns and t + 1 rows a state, each state's rows padded
-    # by rows 2^t for R and 0 for Q, so that row and column t read as zeros
-    values = [row for st in states for row in st.R + (1 << t,) * (t + 1 - len(st.R))]
-    values += [q for st in states for q in st.Q + (0,) * (t + 1 - len(st.Q))]
-    values += [st.l for st in states] + [st.a0 for st in states]
-    bits = _bits(values + [x for x, _ in keys] + [z for _, z in keys], t + 1)
-    R, Q = bits[:2 * count * (t + 1)].reshape(2, count, t + 1, t + 1)
-    l, a0 = bits[2 * count * (t + 1):2 * count * (t + 2)].reshape(2, count, t + 1)
-    x, z = bits[2 * count * (t + 2):, :t].reshape(2, per, t)
-    # column space: row_of[n] is the row whose pivot is column n, or t
-    at = np.arange(count)[:, None]
-    row_of = np.full((count, t + 1), t)
-    row_of[at, R.argmax(axis=2)] = np.arange(t + 1)
-    row_of = row_of[:, :t]
-    pivot = row_of < t
-    Rc, lin = R[at, row_of, :t], l[at, row_of][:, None]
-    Qc = Q[at[..., None], row_of[:, :, None], row_of[:, None, :]]
-    cols = np.arange(t)
+    count, per = len(words), len(keys)
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=t, bitorder="little")
+    a0, Rc, cols = bits[:, None, 0], bits[:, 1:t + 1], np.arange(t)
+    pivot = Rc[:, cols, cols]
+    # l and Q by pivot column n, from their bit j = the count of pivots below n
+    at, j = np.arange(count)[:, None], pivot.cumsum(axis=1, dtype=np.intp) - pivot
+    lin = (bits[at, t + 1, j] & pivot)[:, None]
+    Qc = bits[at[..., None], t + 2 + j[..., None], j[:, None]] & (pivot[..., None] & pivot[:, None])
+    x, z = np.unpackbits(lane_words([x for x, _ in keys] + [z for _, z in keys], t).view(np.uint8),
+                         axis=1, count=t, bitorder="little").reshape(2, per, t)
     upper, off = cols[:, None] < cols, cols[:, None] != cols
     pairs = Qc & upper
     sym = pairs | pairs.transpose(0, 2, 1)
@@ -327,7 +351,7 @@ def overlaps(states: Sequence[QuadraticFormState], keys: Sequence,
     # counts mod 256, and only their parities are read.  A pivot's L reads
     # s @ sym and a check's L reads a ^ s @ R, which is 0 at every pivot,
     # so one product over sym | R serves both
-    a = a0[:, None, :t] ^ x
+    a = a0 ^ x
     s = a & pivot[:, None]
     diag = Qc[:, cols, cols][:, None] ^ z @ Rc.transpose(0, 2, 1)
     both = lin & s
@@ -336,7 +360,7 @@ def overlaps(states: Sequence[QuadraticFormState], keys: Sequence,
     doubled = (s & (diag ^ s @ pairs.transpose(0, 2, 1))) ^ a & z
     phase = ((2 * both + 4 * doubled).sum(axis=-1) % 8).reshape(-1).astype(np.int64)
     pivots = pack_lanes(pivot).repeat(per, axis=0)
-    rank = np.array([len(st.R) for st in states], np.int64).repeat(per)
+    rank = pivot.sum(axis=1, dtype=np.int64).repeat(per)
     # lanes: each form's pivots inside b and its checks outside b, per label b
     size = len(L) * len(labels)
     outside = (pivots ^ lane_words([(1 << t) - 1], t))[:, None] & ~labels
@@ -355,10 +379,10 @@ def overlaps(states: Sequence[QuadraticFormState], keys: Sequence,
 
 def sample_overlaps(t: int, keys: Sequence, labels: np.ndarray, m: int, rng):
     """Yield, for each of m samples in order, the (len(keys), len(labels))
-    ``overlaps`` of one fresh ``random_stabilizer_state``.  The draws come in
-    chunks of ``chunk_states`` samples, one state a sample, so the rng's
-    stream is that of one draw per sample and no state is drawn unused."""
+    ``overlaps`` of one fresh ``random_stabilizer_state``.  One ``_draw``
+    call draws a chunk of ``chunk_states`` samples' states with the rng
+    stream of one draw per sample, and no state is drawn unused."""
     per = chunk_states(t, len(keys) * len(labels))
     for done in range(0, m, per):
-        states = [random_stabilizer_state(t, rng) for _ in range(min(per, m - done))]
-        yield from overlaps(states, keys, labels).reshape(len(states), len(keys), len(labels))
+        count = min(per, m - done)
+        yield from _overlaps(t, _draw(t, count, rng), keys, labels).reshape(count, len(keys), -1)

@@ -299,6 +299,14 @@ class TestCliCommands:
         assert len(loaded) == 31
         assert "31 masks" in capsys.readouterr().out
 
+    def test_gen_masks_file_is_json_dump(self, tmp_path):
+        # the file is written one mask at a time, with json.dump's bytes
+        out = tmp_path / "masks.json"
+        assert cli.main(["gen-masks", "--t", "1024", "--out", str(out)]) == 0
+        with open(tmp_path / "want.json", "w") as fh:
+            json.dump(bench.default_masks(1024, 2047).to_json(), fh, indent=1)
+        assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
+
     def test_sparsify_estimate_pipeline(self, tmp_path, capsys):
         decomp_path = tmp_path / "d.json"
         code = cli.main([

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -161,6 +162,15 @@ class TestSerialization:
         ms.save(str(path))
         loaded = mk.MaskSet.load(str(path))
         assert loaded == ms
+
+    @pytest.mark.parametrize("ms", [mk.generate_masks_pow2(2), mk.generate_masks_even(12),
+                                    mk.MaskSet(3, (5,), mk.EVEN), mk.MaskSet(3, (), mk.POW2)],
+                             ids=["pow2", "even", "one-mask", "no-masks"])
+    def test_save_writes_json_dump_bytes(self, tmp_path, ms):
+        ms.save(str(tmp_path / "got.json"))
+        with open(tmp_path / "want.json", "w") as fh:
+            json.dump(ms.to_json(), fh, indent=1)
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_schema_fields(self):
         data = mk.generate_masks_pow2(4).to_json()

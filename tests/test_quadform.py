@@ -1,5 +1,10 @@
+import bisect
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ import pytest
 from stabsparse import dense, magic
 from stabsparse import quadform as qf
 from stabsparse import stabilizer as sb
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def brute_amplitudes(state):
@@ -116,6 +123,105 @@ class TestSampler:
     def test_rejects_zero_qubits(self):
         with pytest.raises(ValueError):
             qf.random_stabilizer_state(0, np.random.default_rng(0))
+
+    def test_rejects_32_bit_raw_words_before_drawing(self):
+        # MT19937's raw words hold 32 bits, so rows never span more than
+        # 32 columns and the redraw loop never ended at t > 32; it is
+        # rejected at every t (t = 40 is in the child below)
+        t, rng = 8, np.random.Generator(np.random.MT19937(0))
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="MT19937"):
+            qf.random_stabilizer_state(t, rng)
+        with pytest.raises(ValueError, match="MT19937"):
+            next(qf.sample_overlaps(t, [(0, 0)], magic.lane_words([0], t), 3, rng))
+        np.testing.assert_equal(rng.bit_generator.state, before)
+
+    def test_32_bit_raw_words_raise_not_hang_at_t40(self):
+        # a child with a timeout turns a hang into a failure
+        code = (
+            "import math, numpy as np\n"
+            "from stabsparse import estimator, magic, quadform\n"
+            "from stabsparse import stabilizer as sb\n"
+            "model = magic.magic_model(math.pi / 4, 40)\n"
+            "d = magic.sample_iid(model, 3, np.random.default_rng(0))\n"
+            "rng = np.random.Generator(np.random.MT19937(0))\n"
+            "z = sb.PauliOperator.from_string('Z' + 'I' * 39)\n"
+            "for call in (lambda: quadform.random_stabilizer_state(40, rng),\n"
+            "             lambda: estimator.fastnorm(d, 4, rng),\n"
+            "             lambda: estimator.pauli_prob(d, None, [(z, 1)], estimator.FASTNORM,\n"
+            "                                          4, rng)):\n"
+            "    try:\n"
+            "        call()\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 3 and all("MT19937" in line for line in lines)
+
+
+def oracle_draw(t, rng):
+    """(state, redraws): the per-row draw that the two-stage ``_draw``
+    replaced, with each accepted row reduced and inserted into a reduced
+    echelon form at once by ``stabilizer.reduce_row`` and ``insert_row``."""
+    r = bisect.bisect_right(qf._support_cdf(t), rng.random())
+    echelon: dict = {}
+    pivots = redraws = 0
+    for row in qf._random_rows(t, r, rng):
+        row = sb.reduce_row(row, echelon, pivots)
+        while not row:
+            redraws += 1
+            row = sb.reduce_row(qf._random_rows(t, 1, rng)[0], echelon, pivots)
+        pivots |= sb.insert_row(echelon, row)
+    a0, l, *q = qf._random_rows(t, r + 2, rng)
+    low = (1 << r) - 1
+    state = qf.QuadraticFormState(
+        t=t, a0=sb.reduce_row(a0, echelon, pivots), R=tuple(echelon[c] for c in sorted(echelon)),
+        l=l & low, Q=tuple((qj & low) >> j << j for j, qj in enumerate(q)))
+    return state, redraws
+
+
+class TestDrawOracle:
+    """The two-stage draw gives the per-row draw's states and rng stream."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 8, 16, 31, 64, 65, 70, 130])
+    def test_states_and_rng_match_the_per_row_draw(self, t):
+        draws = 40 if t <= 70 else 12
+        new, old = np.random.default_rng(2400 + t), np.random.default_rng(2400 + t)
+        full = redraws = 0
+        for _ in range(draws):
+            want, hits = oracle_draw(t, old)
+            assert qf.random_stabilizer_state(t, new) == want
+            assert new.bit_generator.state == old.bit_generator.state
+            full += len(want.R) == t
+            redraws += hits
+        # rank t draws, and rows redrawn because they fell in the span
+        assert full and redraws
+
+    @pytest.mark.parametrize("t", [5, 16, 70])
+    def test_chunk_matches_one_draw_a_state(self, t):
+        # one ``_draw`` call over a chunk gives the per-row draws' a0 and R
+        # by pivot, and their overlaps as complex128 bytes
+        new, old = np.random.default_rng(2450 + t), np.random.default_rng(2450 + t)
+        words = qf._draw(t, 9, new)
+        states = [oracle_draw(t, old)[0] for _ in range(9)]
+        assert new.bit_generator.state == old.bit_generator.state
+        rows = []
+        for st in states:
+            by_pivot = [0] * t
+            for row in st.R:
+                by_pivot[(row & -row).bit_length() - 1] = row
+            rows += [st.a0, *by_pivot]
+        assert words[:, :t + 1].tobytes() == magic.lane_words(rows, t).tobytes()
+        keys = [(0, 0), (random_bits(old, t), random_bits(old, t))]
+        bits = [random_bits(old, t) for _ in range(6)] + [st.a0 for st in states]
+        labels = magic.lane_words(bits, t)
+        assert (qf._overlaps(t, words, keys, labels).tobytes()
+                == qf.overlaps(states, keys, labels).tobytes())
 
 
 def random_bits(rng, t):
