@@ -737,6 +737,36 @@ class TestGramKernel:
             "467249a1f490f5f0c5fbd22d40377b389b6311f62f7c3e65126398a3d91aa87e"
         )
 
+    def test_wide_kernel_pinned(self, monkeypatch):
+        # pins exact_sqnorm and multi-Pauli _gram values bit for bit past one
+        # 64-bit word (t = 65, 72 and 128), recorded while the kernel summed
+        # per-word counts over a trailing word axis: in one row tile and in
+        # tiles of 97 // (k p) rows with a partial last tile
+        h = hashlib.sha256()
+        live = 0
+        for tile_entries in (1 << 18, 97):
+            monkeypatch.setattr(estimator, "_TILE_ENTRIES", tile_entries)
+            for t in (65, 72, 128):
+                rng = np.random.default_rng(1600 + t)
+                full = (1 << t) - 1
+                d = magic.sample_iid(magic.magic_model(PI4, t), 29, rng)
+                h.update(repr(estimator.exact_sqnorm(d).value).encode())
+                bits = [b for b, _ in d.entries]
+                keys = [(0, 0)]
+                for i in range(3):
+                    noise = int.from_bytes(rng.bytes(16), "little") & full
+                    x = (bits[i] | bits[i + 1]) & noise
+                    z = ~(bits[i] & bits[i + 1]) & full & ~noise
+                    keys += [(x, 0), (0, z), (x | z, z)]
+                values = estimator._gram(*estimator._terms(d, d.prefactor), keys)
+                live += sum(abs(v) > 1e-9 for v in values)
+                h.update(repr(values).encode())
+                h.update(repr(estimator._gram(*estimator._terms(d), keys[-2:])).encode())
+        assert live >= 40
+        assert h.hexdigest() == (
+            "a6acb6dd695ca3af14bc3991bb216ebdf07950d4fe9d79c336b45aa80b191caa"
+        )
+
     def test_words_use_the_narrowest_lane(self):
         rng = np.random.default_rng(1400)
         cases = [(1, 1), (8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8),
