@@ -767,6 +767,33 @@ class TestGramKernel:
             "a6acb6dd695ca3af14bc3991bb216ebdf07950d4fe9d79c336b45aa80b191caa"
         )
 
+    def test_zero_extended_labels_give_the_same_bits(self, monkeypatch):
+        # a t = 64 decomposition is the same state with its labels
+        # zero-extended to t = 65, 128 and 1024 (one to 16 words): the norm
+        # and every Pauli value agree bit for bit across the four widths, in
+        # one row tile and in tiles of 97 // (k p) rows
+        rng = np.random.default_rng(1700)
+        d = magic.sample_iid(magic.magic_model(PI4, 64), 37, rng)
+        bits = [b for b, _ in d.entries]
+        keys = [(0, 0)]
+        for i in range(3):
+            noise = int.from_bytes(rng.bytes(8), "little")
+            x = (bits[i] | bits[i + 1]) & noise
+            z = ~(bits[i] & bits[i + 1]) & ((1 << 64) - 1) & ~noise
+            keys += [(x, 0), (0, z), (x | z, z)]
+        for tile_entries in (1 << 18, 97):
+            monkeypatch.setattr(estimator, "_TILE_ENTRIES", tile_entries)
+            values = []
+            for t in (64, 65, 128, 1024):
+                labels = np.zeros((d.k, -(-t // 64)), np.uint64)
+                labels[:, 0] = d.labels[:, 0]
+                wide = magic.SparseDecomposition(t, d.k, d.prefactor, labels=labels,
+                                                 phases=d.phases())
+                gram = estimator._gram(*estimator._terms(wide, wide.prefactor), keys)
+                values.append(repr((estimator.exact_sqnorm(wide).value, gram)))
+            assert sum(abs(v) > 1e-9 for v in gram) >= 4
+            assert values[1:] == values[:1] * 3
+
     def test_words_use_the_narrowest_lane(self):
         rng = np.random.default_rng(1400)
         cases = [(1, 1), (8, 1), (9, 2), (16, 2), (17, 4), (32, 4), (33, 8), (64, 8),
