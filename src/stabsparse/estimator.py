@@ -1,12 +1,12 @@
 """Norms, approximation-error diagnostics and Pauli-outcome estimation.
 
 Every exact quantity comes from one closed-form Gram kernel over the
-|0>/|+> product terms, the values sum_ij conj(a_i) a_j <phi_i| P |phi_j>
-for a list of Paulis P, by popcounts on bits packed in the narrowest
-unsigned lane, in one block of plain temporaries when one row tile covers
-every row and otherwise over the upper triangle in row tiles that reuse one
-set of buffers, summed as real 2 x 2 products of [Re a, Im a] with terms in
-canonical order (see ``_gram``); ``exact_sqnorm`` is its P = I case.
+|0>/|+> product terms, sum_ij conj(a_i) a_j <phi_i| P |phi_j> for a list of
+Paulis P (``exact_sqnorm`` is its P = I case), by popcounts one word-major
+label plane at a time, in one block of plain temporaries when one row tile
+covers every row and otherwise over the upper triangle in row tiles that
+reuse one set of O(tile k) buffers at every width, summed as real 2 x 2
+products of [Re a, Im a] with terms in canonical order (see ``_gram``).
 Monte-Carlo norm estimation (``fastnorm``) samples random stabilizer states
 instead, drawn with their closed-form product-term overlaps by
 ``quadform.sample_overlaps`` at every t.  Probability estimation works in
@@ -83,34 +83,43 @@ _TILE_ENTRIES = 1 << 18
 _SIGNS = np.array([1.0, -1.0])
 
 
+def _word_sum(width: int, count: Callable) -> np.ndarray:
+    """Per-word counts count(w) summed over w < width: uint8 for one word, else int16."""
+    total = count(0)
+    for w in range(1, width):
+        total = np.add(total, count(w), dtype=np.int16)
+    return total
+
+
 def _terms(decomp: SparseDecomposition, scale: float = 1.0) -> tuple:
-    """The decomposition's label rows and k x 2 rows [Re, Im] of r_b * scale
-    * phase, r_b = 2^((h - |b|)/2) as ``_gram`` takes them, both sorted by
-    (bits, Re, Im) so that a Gram sum is independent of the term order."""
-    bits = decomp.labels
+    """The decomposition's labels as word-major planes, (width, k) with one
+    contiguous row per ``lane_words`` word, and k x 2 rows [Re, Im] of r_b *
+    scale * phase, r_b = 2^((h - |b|)/2) as ``_gram`` takes them, both sorted
+    by (bits, Re, Im) so that a Gram sum is independent of the term order."""
     ri = (decomp.phases() * scale).view(np.float64).reshape(-1, 2)
-    order = np.lexsort((ri[:, 1], ri[:, 0], *bits.T))
-    bits, ri = bits[order], ri[order]
-    width = bits.shape[1]
-    count = np.bitwise_count(bits).sum(axis=-1) if width > 1 else np.bitwise_count(bits[:, 0])
+    order = np.lexsort((ri[:, 1], ri[:, 0], *decomp.labels.T))
+    bits = np.ascontiguousarray(decomp.labels[order].T)
+    count = _word_sum(len(bits), lambda w: np.bitwise_count(bits[w]))
     # 2^((h - |b|)/2), h = 32 * width: ROOT2 read down from 2^(h/2)
-    r = ROOT2[3 * T_MAX + 32 * width::-1][count]
-    return bits, ri * r[:, None]
+    r = ROOT2[3 * T_MAX + 32 * len(bits)::-1][count]
+    return bits, ri[order] * r[:, None]
 
 
 def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
     """[sum_ij conj(a_i) a_j <phi_i| X^x Z^z |phi_j> for (x, z) in keys].
 
-    ``bits`` holds the |0>/|+> product labels as ``lane_words`` lanes (a set bit
-    is |+>), ``ri`` the amplitudes as rows r_b [Re a, Im a] from ``_terms``.
-    An entry of G_P is 0 if a qubit has x & ~a & ~b or z & a & b, that is if
-    row a's mask x ^ ((x ^ z) & a) meets ~(a ^ b), else
-    2^(-|a ^ b|/2) (-1)^|x & z & b| (live
-    x & z qubits have one of a, b set).  With r_b = 2^((h - |b|)/2) in the
-    amplitudes, the overlap is an exact 2^(|a & b| - h) (h = 32 per lane or
-    64-bit word keeps both in range): one tile per row tile serves all
-    Paulis, each adding its dead mask and column signs.  G_P^T =
-    (-1)^|x & z| G_P, so row tile I meets only columns lo: and an
+    ``bits`` holds the |0>/|+> product labels as ``_terms``' word-major
+    planes (a set bit is |+>), ``ri`` the amplitudes as rows r_b [Re a, Im
+    a].  An entry of G_P is 0 if a qubit has x & ~a & ~b or z & a & b, that
+    is if row a's mask x ^ ((x ^ z) & a) meets ~(a ^ b), else 2^(-|a ^
+    b|/2) (-1)^|x & z & b| (live x & z qubits have one of a, b set).  With
+    r_b = 2^((h - |b|)/2) in the amplitudes, the overlap is an exact 2^(|a &
+    b| - h) (h = 32 per lane or 64-bit word keeps both in range): one tile
+    per row tile serves all Paulis, each adding its live mask and column
+    signs.  Counts, signs and live masks come one word plane at a time (one
+    pass at t <= 64), and the tiled overlap scales exactly by 2^|a_w & b_w|
+    per word: buffers hold one plane, and no value depends on the width.
+    G_P^T = (-1)^|x & z| G_P, so row tile I meets only columns lo: and an
     off-diagonal block's z adds its mirror (-1)^|x & z| conj(z).  Blocks sum
     as the real 2 x 2 M = ri_I^T G ri_J, and a_I^dag G a_J = M00 + M11 +
     i(M01 - M10).  When one row tile covers every row (k^2 len(keys) <=
@@ -121,58 +130,49 @@ def _gram(bits: np.ndarray, ri: np.ndarray, keys: Sequence) -> list:
     which beats fresh temporaries at k in the thousands.  Both paths give
     the same bits.
     """
-    k, width = bits.shape
+    width, k = bits.shape
     if width > T_MAX // 64:
         raise ValueError(f"the Gram kernel's power-of-two scaling covers t <= {T_MAX}")
     h, keys = 32 * width, list(keys)
     p = len(keys)
-    words = lane_words([x for x, _ in keys] + [z for _, z in keys], 8 * bits.itemsize * width)
-    lane = (width,) if width > 1 else ()  # one lane needs no word axis
-    lanes = bits.reshape(k, *lane)
-    xs, zs = words.reshape(2, p, 1, *lane)
     sri = ri[None]  # (Paulis, k, 2) with each Pauli's column signs
-    if any(x & z for x, z in keys):
-        odd = np.bitwise_count(lanes & (xs & zs))
-        odd = (odd if width == 1 else odd.sum(axis=-1)) & 1
-        sri = ri * _SIGNS[odd][..., None]
     pauli = any(x or z for x, z in keys)
     if pauli:
-        rows = (xs ^ ((xs ^ zs) & lanes))[:, :, None]  # x ^ ((x ^ z) & a) per row a
+        words = lane_words([x for x, _ in keys] + [z for _, z in keys], 8 * bits.itemsize * width)
+        xs, zs = words.T.reshape(width, 2, p, 1).swapaxes(0, 1)  # (width, Paulis, 1) each
+        rows = (xs ^ ((xs ^ zs) & bits[:, None]))[:, :, :, None]  # x ^ ((x ^ z) & a) per row a
+        if any(x & z for x, z in keys):
+            odd = _word_sum(width, lambda w: np.bitwise_count(bits[w] & (xs[w] & zs[w]))) & 1
+            sri = ri * _SIGNS[odd][..., None]
     tile = max(1, _TILE_ENTRIES // max(k * p, 1))
     if tile >= k:  # one row tile: plain temporaries, and no off-diagonal block
-        a = lanes[:, None]
-        cnt = np.bitwise_count(a & lanes)  # g = 2^(|a & b| - h)
-        g = ROOT2[3 * T_MAX - 2 * h::2][cnt if width == 1 else cnt.sum(axis=-1, dtype=np.int32)]
-        if pauli:  # live where the row mask lies inside a ^ b
-            live = (rows & (a ^ lanes)) == rows
-            g = g * (live if width == 1 else live.all(axis=-1))
+        a = bits[:, :, None]
+        cnt = _word_sum(width, lambda w: np.bitwise_count(a[w] & bits[w]))
+        g = ROOT2[3 * T_MAX - 2 * h::2][cnt]  # g = 2^(|a & b| - h)
+        if pauli:  # live where the row mask misses ~(a ^ b) in every word
+            for w in range(width):
+                g = g * ((rows[w] & (~a[w] ^ bits[w])) == 0)
         m = np.zeros((p, 2, 2))
         m += ri.T @ (g @ sri)  # from zero like the tiled sum, so -0.0 reads 0.0
         return [complex(d0[0] + d1[1], d0[1] - d1[0]) for d0, d1 in m.tolist()]
     m = np.zeros((2, p, 2, 2))  # diagonal and off-diagonal blocks
     size = tile * k
-    both_buf, cnt_buf = np.empty(size * width, bits.dtype), np.empty(size * width, np.uint8)
-    g_buf, sum_buf = np.empty(size), np.empty(size if width > 1 else 0, np.int32)
+    both_buf, cnt_buf, g_buf = np.empty(size, bits.dtype), np.empty(size, np.uint8), np.empty(size)
     if pauli:
-        flip, dead_buf = ~lanes, np.empty(p * size * width, bits.dtype)
-        live_buf, gp_buf = np.empty(p * size, bool), np.empty(p * size)
+        dead_buf, live_buf, gp_buf = (np.empty(p * size, dt) for dt in (bits.dtype, bool, float))
     for lo in range(0, k, tile):
         hi = min(lo + tile, k)
-        n, e, shape = hi - lo, (hi - lo) * (k - lo), (hi - lo, k - lo, *lane)
-        a, b = lanes[lo:hi, None], lanes[None, lo:]
-        both = np.bitwise_and(a, b, out=both_buf[:e * width].reshape(shape))
-        cnt = np.bitwise_count(both, out=cnt_buf[:e * width].reshape(shape))
-        if width > 1:
-            cnt = cnt.sum(axis=-1, dtype=np.int32, out=sum_buf[:e].reshape(shape[:2]))
-        g = np.ldexp(2.0**-h, cnt, out=g_buf[:e].reshape(shape[:2]))
+        n, e, shape = hi - lo, (hi - lo) * (k - lo), (hi - lo, k - lo)
+        a, b = bits[:, lo:hi, None], bits[:, None, lo:]
+        both, cnt, g = both_buf[:e].reshape(shape), cnt_buf[:e].reshape(shape), 2.0**-h
+        for w in range(width):  # g = 2^(|a & b| - h), one exact scaling per word
+            np.bitwise_count(np.bitwise_and(a[w], b[w], out=both), out=cnt)
+            g = np.ldexp(g, cnt, out=g_buf[:e].reshape(shape))
         if pauli:
-            same = np.bitwise_xor(flip[lo:hi, None], b, out=both)  # ~(a ^ b); both is counted
-            dead = dead_buf[:p * e * width].reshape(p, *shape)
-            np.bitwise_and(rows[:, lo:hi], same, out=dead)
-            if width > 1:
-                dead = dead.any(axis=-1)
-            live = np.equal(dead, 0, out=live_buf[:p * e].reshape(p, *shape[:2]))
-            g = np.multiply(g, live, out=gp_buf[:p * e].reshape(p, *shape[:2]))
+            dead, live, gp = (v[:p * e].reshape(p, *shape) for v in (dead_buf, live_buf, gp_buf))
+            for w in range(width):  # ~(a ^ b) = ~a ^ b, from the tile's flipped rows
+                np.bitwise_and(rows[w, :, lo:hi], np.bitwise_xor(~a[w], b[w], out=both), out=dead)
+                g = np.multiply(g, np.equal(dead, 0, out=live), out=gp)
         m[0] += ri[lo:hi].T @ (g[..., :n] @ sri[:, lo:hi])
         if hi < k:
             m[1] += ri[lo:hi].T @ (g[..., n:] @ sri[:, hi:])

@@ -809,21 +809,25 @@ class TestGramKernel:
 
     def test_memory_stays_bounded_at_large_k(self):
         # one k x k float64 block at k = 4000 would be 122 MiB; the row-tile
-        # buffers keep the traced peak of a norm and of a 17-Pauli call under 8 MiB
+        # buffers keep the traced peak of a norm and of a 17-Pauli call under
+        # 8 MiB, and at t = 1024 (16 words a label) that of a norm and of a
+        # 2-Pauli call, whose buffers hold one word plane of a tile
         import tracemalloc
 
         rng = np.random.default_rng(1500)
-        d = magic.sample_iid(magic.magic_model(PI4, 32), 4000, rng)
-        terms = estimator._terms(d)
-        keys = [(int(rng.integers(1 << 32)), int(rng.integers(1 << 32))) for _ in range(17)]
-        for call in (lambda: estimator.exact_sqnorm(d), lambda: estimator._gram(*terms, keys)):
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 8 << 20
+        for t, p in ((32, 17), (1024, 2)):
+            d = magic.sample_iid(magic.magic_model(PI4, t), 4000, rng)
+            terms = estimator._terms(d)
+            keys = [tuple(int.from_bytes(rng.bytes(t // 8), "little") for _ in "xz")
+                    for _ in range(p)]
+            for call in (lambda: estimator.exact_sqnorm(d), lambda: estimator._gram(*terms, keys)):
+                tracemalloc.start()
+                try:
+                    call()
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 8 << 20, (t, peak)
 
     def test_wider_than_1024_bits_rejected(self):
         d = magic.SparseDecomposition(
