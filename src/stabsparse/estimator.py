@@ -225,8 +225,9 @@ def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int
     ``sample_overlaps`` draws the states theta_j and gives each sample's
     <phi_b| Z^z X^x |theta_j> for every Pauli and term; only its draws use
     the rng.  Each sample sums its terms' conj(overlap) phase with
-    ``np.vdot``, in sample order.  The 2^t scaling is exact (``ldexp``)
-    and, like the Gram kernel's, covers t <= ``T_MAX``.
+    ``np.vdot`` per Pauli and adds its Paulis' c vdot in a plain loop, in
+    key order; the samples add up in sample order.  The 2^t scaling is
+    exact (``ldexp``) and, like the Gram kernel's, covers t <= ``T_MAX``.
     """
     if isinstance(m_samples, bool) or not isinstance(m_samples, (int, np.integer)):
         raise ValueError(f"sample count must be an int, got {m_samples!r}")
@@ -241,7 +242,9 @@ def _sampled_sqnorm(decomp: SparseDecomposition, pauli_sum: dict, m_samples: int
     keys, coeffs = list(pauli_sum), list(pauli_sum.values())
     total = 0.0
     for row in sample_overlaps(t, keys, decomp.labels, m_samples, rng):
-        amp = sum(c * np.vdot(overlaps, phases) for c, overlaps in zip(coeffs, row))
+        amp = 0
+        for c, overlaps in zip(coeffs, row):
+            amp = amp + c * np.vdot(overlaps, phases)
         total += abs(decomp.prefactor * amp) ** 2
     return float(math.ldexp(total, t) / m_samples)
 

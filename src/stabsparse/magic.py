@@ -272,15 +272,25 @@ def pack_lanes(bits: np.ndarray) -> np.ndarray:
     return lanes.view(f"<u{min(lanes.shape[-1], 8)}")
 
 
+#: float64 draws per ``rng.random`` call of ``_sample_terms``: 4 MiB of them
+_DRAW_CHUNK = 1 << 19
+
+
 def _sample_terms(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
     """(labels, phases): ``lane_words`` rows seed ^ shift and complex128
     u0^(t-w) u1^w, w the Hamming weight, for m i.i.d. Bernoulli(p1) seeds and
-    each shift.  One ``rng.random((m, t))`` call draws the same stream as m
-    calls of ``rng.random(t)``; bit q of seed i is draw (i, q)."""
+    each shift.  Bit q of seed i is draw (i, q).  The draws come in
+    ``rng.random((rows, t))`` blocks of at most ``_DRAW_CHUNK`` floats, each
+    packed into its rows of the seeds; consecutive calls continue the
+    stream, so the blocks draw what m calls of ``rng.random(t)`` would."""
     t = model.t
+    rows = max(1, _DRAW_CHUNK // t)
     try:
         table = np.array([model.u0 ** (t - w) * model.u1**w for w in range(t + 1)])
-        seeds = pack_lanes(rng.random((m, t)) < model.p1)
+        empty = lane_words([], t)
+        seeds = np.empty((m, empty.shape[1]), empty.dtype)
+        for lo in range(0, m, rows):
+            seeds[lo:lo + rows] = pack_lanes(rng.random((min(rows, m - lo), t)) < model.p1)
         labels = (seeds[:, None] ^ lane_words(shifts, t)).reshape(-1, seeds.shape[1])
         weight = np.bitwise_count(labels)
         phases = table[weight[:, 0] if t <= 64 else weight.sum(axis=1)]

@@ -96,17 +96,25 @@ def _draw(t: int, count: int, rng) -> np.ndarray:
     l and Q are uniform bits.  One numpy back-substitution over the chunk then
     reduces the rows and a0 to the one canonical form of each state, so the
     draw is uniform over the states.
+
+    A state reads r = ``rng.random()``, then its 2r + 2 words (r rows, a0, l
+    and Q) with one ``_random_rows`` call.  Redraws take the next words of
+    that list, and one more call tops it up by the words they used, so the
+    rng gives the words of one call per row, in the same order.
     """
     if t < 1:
         raise ValueError("qubit count must be at least 1")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"a stabilizer draw needs an rng (an np.random.Generator), got {rng!r}")
     if isinstance(rng.bit_generator, np.random.MT19937):
         raise ValueError(f"{type(rng.bit_generator).__name__} gives 32-bit raw words, and a "
                          "stabilizer draw needs 64-bit ones (PCG64, Philox or SFC64)")
     cdf, values = _support_cdf(t), []
     for _ in range(count):
         r = bisect.bisect_right(cdf, rng.random())
+        words, used = _random_rows(t, 2 * r + 2, rng), r
         rows = [0] * (t + 1)  # rows[p + 1]: the row whose lowest set bit is p
-        for row in _random_rows(t, r, rng):
+        for row in words[:r]:
             while True:
                 p = (row & -row).bit_length()
                 while other := rows[p]:
@@ -114,9 +122,13 @@ def _draw(t: int, count: int, rng) -> np.ndarray:
                     p = (row & -row).bit_length()
                 if p:
                     break
-                row = _random_rows(t, 1, rng)[0]  # the row was in the span: redraw it
+                if used == len(words):
+                    words += _random_rows(t, 1, rng)
+                row, used = words[used], used + 1  # the row was in the span: redraw it
             rows[p] = row
-        rows[0], *lq = _random_rows(t, r + 2, rng)
+        if more := used + r + 2 - len(words):
+            words += _random_rows(t, more, rng)
+        rows[0], *lq = words[used:]
         values += rows + lq + [0] * (t - r)
     words = lane_words(values, t).reshape(count, 2 * t + 2, -1).copy()
     # from the highest column p down, reduced row p clears bit p from a0 and
@@ -325,8 +337,9 @@ def _overlaps(t: int, words: np.ndarray, keys: Sequence, labels: np.ndarray) -> 
     and J = q's pairs and its row's check columns, and a check c has
     L = 2 a_c and J = the pivots of the rows through c (Bravyi-Gosset,
     arXiv:1601.07601).  Every state is a t x t bit matrix with row j at
-    its pivot column, so all forms come from a few numpy calls, and the
-    products that only need parities run in uint8.  A label b sums the
+    its pivot column, so all forms come from a few numpy calls (l and Q are
+    read at the pivot columns by one flat ``take`` each), and the products
+    that only need parities run in uint8.  A label b sums the
     variables ``pivots & b`` and ``~pivots & ~b`` of a form, and its overlap
     is 2^((e - 2 |~pivots & ~b| - |b| - rank)/2) w^(k + phase) for the
     sum's (e, k), or 0: every label of every form is one lane of
@@ -336,10 +349,13 @@ def _overlaps(t: int, words: np.ndarray, keys: Sequence, labels: np.ndarray) -> 
     bits = np.unpackbits(words.view(np.uint8), axis=-1, count=t, bitorder="little")
     a0, Rc, cols = bits[:, None, 0], bits[:, 1:t + 1], np.arange(t)
     pivot = Rc[:, cols, cols]
-    # l and Q by pivot column n, from their bit j = the count of pivots below n
-    at, j = np.arange(count)[:, None], pivot.cumsum(axis=1, dtype=np.intp) - pivot
-    lin = (bits[at, t + 1, j] & pivot)[:, None]
-    Qc = bits[at[..., None], t + 2 + j[..., None], j[:, None]] & (pivot[..., None] & pivot[:, None])
+    # l and Q by pivot column n, from their bit j = the count of pivots below
+    # n: state s's l is flat row (s(2t + 2) + t + 1) of t bits, and Q's rows follow it
+    j = pivot.cumsum(axis=1, dtype=np.intp) - pivot
+    row = (np.arange(count)[:, None] * (2 * t + 2) + t + 1) * t
+    flat = bits.reshape(-1)
+    lin = (flat.take(row + j) & pivot)[:, None]
+    Qc = flat.take((row + t + t * j)[..., None] + j[:, None]) & (pivot[..., None] & pivot[:, None])
     x, z = np.unpackbits(lane_words([x for x, _ in keys] + [z for _, z in keys], t).view(np.uint8),
                          axis=1, count=t, bitorder="little").reshape(2, per, t)
     upper, off = cols[:, None] < cols, cols[:, None] != cols

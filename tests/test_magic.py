@@ -514,6 +514,34 @@ class TestSamplingStream:
         with pytest.raises(ValueError, match=message):
             magic.sample_correlated(m, mask_set, 2, 2**60 + 1, rng)
 
+    @pytest.mark.parametrize("t", [8, 96])
+    def test_blocks_of_draws_match_one_block(self, t, monkeypatch):
+        # blocks of two seeds, the last one short, give the entries and the
+        # stream of the one block that every size above is drawn in
+        m, mask_set = magic.magic_model(PI4, t), masks.generate_masks_even(t)
+
+        def draws(rng):
+            return (magic.sample_iid(m, 7, rng).entries,
+                    magic.sample_correlated(m, mask_set, 3, 20, rng).entries, rng.random())
+
+        want = draws(np.random.default_rng(t))
+        monkeypatch.setattr(magic, "_DRAW_CHUNK", 2 * t)
+        assert draws(np.random.default_rng(t)) == want
+
+    def test_draw_memory_is_bounded_by_its_blocks(self):
+        # t = 80, k = 100,000 makes 3.1 MiB of labels and phases; the draws
+        # as one float64 block traced a 68.7 MiB peak
+        import tracemalloc
+
+        m = magic.magic_model(PI4, 80)
+        tracemalloc.start()
+        try:
+            magic.sample_iid(m, 100_000, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 << 20, peak
+
     def test_off_pi4_phases(self):
         # p1 != 1/2 and u0 != u1 exercise both the threshold and the table
         m = magic.magic_model(0.3, 12)

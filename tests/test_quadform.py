@@ -2,6 +2,7 @@ import bisect
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,36 @@ class TestSampler:
         with pytest.raises(ValueError):
             qf.random_stabilizer_state(0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("rng", [np.random.RandomState(0), 0, None],
+                             ids=["RandomState", "int", "None"])
+    def test_rejects_rngs_that_are_not_generators(self, rng):
+        # a legacy RandomState has no ``bit_generator``, and an int or None
+        # is no rng: each is named in a ValueError before anything is drawn
+        state = rng.get_state() if isinstance(rng, np.random.RandomState) else None
+        with pytest.raises(ValueError, match=re.escape(repr(rng))):
+            qf.random_stabilizer_state(8, rng)
+        with pytest.raises(ValueError, match=re.escape(repr(rng))):
+            next(qf.sample_overlaps(8, [(0, 0)], magic.lane_words([0], 8), 3, rng))
+        if state is not None:
+            np.testing.assert_equal(rng.get_state(), state)
+
+    def test_at_most_two_raw_reads_a_state(self):
+        # after r, one read takes a state's 2r + 2 words and one more tops
+        # up its redraws (one read per row made about three a state)
+        class Counting(np.random.PCG64):
+            calls = 0
+
+            def random_raw(self, size=None, output=True):
+                Counting.calls += 1
+                return super().random_raw(size, output)
+
+        counted = np.random.Generator(Counting(2470))
+        words = qf._draw(16, 32, counted)
+        assert 32 <= Counting.calls <= 64
+        plain = np.random.default_rng(2470)
+        assert words.tobytes() == qf._draw(16, 32, plain).tobytes()
+        assert counted.bit_generator.state["state"] == plain.bit_generator.state["state"]
+
     def test_rejects_32_bit_raw_words_before_drawing(self):
         # MT19937's raw words hold 32 bits, so rows never span more than
         # 32 columns and the redraw loop never ended at t > 32; it is
@@ -190,17 +221,32 @@ class TestDrawOracle:
 
     @pytest.mark.parametrize("t", [1, 2, 3, 8, 16, 31, 64, 65, 70, 130])
     def test_states_and_rng_match_the_per_row_draw(self, t):
-        draws = 40 if t <= 70 else 12
-        new, old = np.random.default_rng(2400 + t), np.random.default_rng(2400 + t)
-        full = redraws = 0
+        self.check(t, np.random.PCG64)
+
+    # numpy's other 64-bit bit generators; Philox's state holds arrays
+    @pytest.mark.parametrize("gen", [np.random.PCG64DXSM, np.random.Philox, np.random.SFC64],
+                             ids=lambda gen: gen.__name__)
+    @pytest.mark.parametrize("t", [1, 2, 3, 8, 16, 31, 64, 65, 70, 130])
+    def test_every_64_bit_generator_matches_the_per_row_draw(self, t, gen):
+        self.check(t, gen)
+
+    @staticmethod
+    def check(t, gen):
+        draws = 400 if t <= 2 else 40 if t <= 70 else 12
+        new, old = np.random.Generator(gen(2400 + t)), np.random.Generator(gen(2400 + t))
+        full = redraws = past = 0
         for _ in range(draws):
             want, hits = oracle_draw(t, old)
             assert qf.random_stabilizer_state(t, new) == want
-            assert new.bit_generator.state == old.bit_generator.state
+            np.testing.assert_equal(new.bit_generator.state, old.bit_generator.state)
             full += len(want.R) == t
             redraws += hits
-        # rank t draws, and rows redrawn because they fell in the span
+            past += hits > len(want.R) + 2
+        # rank t draws, and rows redrawn because they fell in the span; at
+        # t <= 2, states whose redraws ran past the r + 2 spare words that
+        # the draw reads with the rows, so it topped up inside the loop
         assert full and redraws
+        assert past or t > 2
 
     @pytest.mark.parametrize("t", [5, 16, 70])
     def test_chunk_matches_one_draw_a_state(self, t):
