@@ -287,11 +287,11 @@ def _sample_terms(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
     rows = max(1, _DRAW_CHUNK // t)
     try:
         table = np.array([model.u0 ** (t - w) * model.u1**w for w in range(t + 1)])
-        empty = lane_words([], t)
-        seeds = np.empty((m, empty.shape[1]), empty.dtype)
+        shift_words = lane_words(shifts, t)
+        seeds = np.empty((m, shift_words.shape[1]), shift_words.dtype)
         for lo in range(0, m, rows):
             seeds[lo:lo + rows] = pack_lanes(rng.random((min(rows, m - lo), t)) < model.p1)
-        labels = (seeds[:, None] ^ lane_words(shifts, t)).reshape(-1, seeds.shape[1])
+        labels = (seeds[:, None] ^ shift_words).reshape(-1, shift_words.shape[1])
         weight = np.bitwise_count(labels)
         phases = table[weight[:, 0] if t <= 64 else weight.sum(axis=1)]
     except (MemoryError, ValueError):  # numpy refuses an array's size

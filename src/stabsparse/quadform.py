@@ -99,8 +99,9 @@ def _draw(t: int, count: int, rng) -> np.ndarray:
 
     A state reads r = ``rng.random()``, then its 2r + 2 words (r rows, a0, l
     and Q) with one ``_random_rows`` call.  Redraws take the next words of
-    that list, and one more call tops it up by the words they used, so the
-    rng gives the words of one call per row, in the same order.
+    that list (one word a call once they pass its end), and one more call
+    tops it up by the words they used, so the rng gives the words of one
+    call per row, in the same order.
     """
     if t < 1:
         raise ValueError("qubit count must be at least 1")
