@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .masks import MaskSet, popcount
+from .masks import MaskSet
 from .stabilizer import product_state_from_bits
 
 IID = "IID"
@@ -279,21 +279,22 @@ _DRAW_CHUNK = 1 << 19
 def _sample_terms(model: MagicModel, m: int, rng, shifts=(0,)) -> tuple:
     """(labels, phases): ``lane_words`` rows seed ^ shift and complex128
     u0^(t-w) u1^w, w the Hamming weight, for m i.i.d. Bernoulli(p1) seeds and
-    each shift.  Bit q of seed i is draw (i, q).  The draws come in
-    ``rng.random((rows, t))`` blocks of at most ``_DRAW_CHUNK`` floats, each
-    packed into its rows of the seeds; consecutive calls continue the
-    stream, so the blocks draw what m calls of ``rng.random(t)`` would."""
+    each shift, the first 0.  Bit q of seed i is draw (i, q), in
+    ``rng.random((rows, t))`` blocks of at most ``_DRAW_CHUNK`` floats packed
+    straight into the labels: the blocks continue the stream as m calls of
+    ``rng.random(t)`` would.  The other shifts are XORed in with ``out=``."""
     t = model.t
     rows = max(1, _DRAW_CHUNK // t)
     try:
         table = np.array([model.u0 ** (t - w) * model.u1**w for w in range(t + 1)])
         shift_words = lane_words(shifts, t)
-        seeds = np.empty((m, shift_words.shape[1]), shift_words.dtype)
+        labels = np.empty((m, *shift_words.shape), shift_words.dtype)
         for lo in range(0, m, rows):
-            seeds[lo:lo + rows] = pack_lanes(rng.random((min(rows, m - lo), t)) < model.p1)
-        labels = (seeds[:, None] ^ shift_words).reshape(-1, shift_words.shape[1])
+            labels[lo:lo + rows, 0] = pack_lanes(rng.random((min(rows, m - lo), t)) < model.p1)
+        np.bitwise_xor(labels[:, :1], shift_words[1:], out=labels[:, 1:])
+        labels = labels.reshape(-1, shift_words.shape[1])
         weight = np.bitwise_count(labels)
-        phases = table[weight[:, 0] if t <= 64 else weight.sum(axis=1)]
+        phases = table[weight[:, 0] if t <= 64 else weight.sum(1, np.min_scalar_type(t))]
     except (MemoryError, ValueError):  # numpy refuses an array's size
         raise ValueError(f"cannot draw k = {m * len(shifts)} terms at t = {t}: "
                          "the draws do not fit in memory") from None
@@ -356,7 +357,7 @@ def gamma_bound(model: MagicModel, masks: MaskSet, f_t: int) -> float:
     ov = abs(overlap(model.phi))
     total = 0.0
     for j in range(f_t):
-        total += model.xi_t * ov ** popcount(masks.masks[j])
+        total += model.xi_t * ov ** masks.masks[j].bit_count()
     return 1.0 + f_t - total
 
 

@@ -33,10 +33,6 @@ POW2 = "POW2"
 MAX_BLOCK_LENGTH = 1 << 14
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def _is_pow2(t: int) -> bool:
     return t >= 1 and (t & (t - 1)) == 0
 
@@ -58,7 +54,7 @@ class MaskSet:
         return len(self.masks)
 
     def min_weight(self) -> int:
-        return min(popcount(m) for m in self.masks)
+        return min(m.bit_count() for m in self.masks)
 
     def min_pairwise_distance(self) -> int:
         """Least Hamming distance over pairs of masks.  When the masks and 0
@@ -70,7 +66,7 @@ class MaskSet:
         best = self.block_length
         for i in range(len(ms)):
             for j in range(i + 1, len(ms)):
-                best = min(best, popcount(ms[i] ^ ms[j]))
+                best = min(best, (ms[i] ^ ms[j]).bit_count())
         return best
 
     def to_json(self) -> dict:

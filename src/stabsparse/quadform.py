@@ -163,7 +163,7 @@ _LANE_ENTRIES = 1 << 18
 def lane_tile(t: int) -> int:
     """Lanes per elimination tile at t variables: ``_LANE_ENTRIES`` over J's
     t x words entries per lane."""
-    return max(1, _LANE_ENTRIES // (t * (1 if t <= 64 else -(-t // 64))))
+    return max(1, _LANE_ENTRIES // (t * -(-t // 64)))
 
 
 def chunk_states(t: int, lanes: int) -> int:

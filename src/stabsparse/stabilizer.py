@@ -15,8 +15,7 @@ one ``int.bit_count()``.  Clifford words act on Paulis through
 signs into Python ints (Stim-style, arXiv:2103.02202).
 
 Conventions: qubit q corresponds to bit q of an integer basis label
-(little endian).  A basis string ``"011"`` puts qubit 0 in |0> and qubits
-1, 2 in |1>.  Pauli strings such as ``"+XZI"`` list qubit 0 first.
+(little endian).  Pauli strings such as ``"+XZI"`` list qubit 0 first.
 Every Pauli is a measured observable, so its phase is a sign, +1 or -1.
 """
 
@@ -38,17 +37,6 @@ _DAGGERS = {"S": "Sdg", "Sdg": "S"}
 def _ones(value: int) -> list:
     """Positions of the set bits of a non-negative int, ascending."""
     return [q for q in range(value.bit_length()) if (value >> q) & 1]
-
-
-def bits_from_string(text: str) -> int:
-    """Parse a basis string like ``"0110"`` (qubit 0 leftmost) to an int."""
-    value = 0
-    for q, ch in enumerate(text):
-        if ch == "1":
-            value |= 1 << q
-        elif ch != "0":
-            raise ValueError(f"invalid basis character {ch!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +271,10 @@ class StabilizerState:
 
     Row r of G, F and M is one Python int whose bit c is the matrix entry
     (r, c); ``v`` and ``s`` are ints with bit q for qubit q and ``gamma``
-    is a list of ints mod 4.  Public module-level functions
-    (:func:`apply_clifford`, :func:`inner_product`,
-    ...) treat states as immutable values; ``_apply_word`` and
-    ``_update_sum`` mutate in place and are internal.
+    is a list of ints mod 4.  :func:`product_state_from_bits`,
+    :func:`apply_clifford` and :func:`project_pauli` return new states, the
+    methods ``amplitude``, ``inner_product``, ``to_dense`` and ``sqnorm`` read
+    one, and ``_apply_word`` and ``_update_sum`` mutate one in place.
     """
 
     __slots__ = ("n", "G", "F", "M", "gamma", "v", "s", "omega")
@@ -543,22 +531,6 @@ def _h_decompose(v: bool, y: bool, z: bool, delta: int):
 # Public, value-style operations
 # ---------------------------------------------------------------------------
 
-ZERO = 0
-PLUS = 1
-
-
-def product_state(selectors: Sequence[int]) -> StabilizerState:
-    """Tensor product of |0> (selector 0) and |+> (selector 1) qubits."""
-    if len(selectors) == 0:
-        raise ValueError("selector list must be nonempty")
-    bits = 0
-    for q, sel in enumerate(selectors):
-        if sel == PLUS:
-            bits |= 1 << q
-        elif sel != ZERO:
-            raise ValueError("selectors must be 0 (|0>) or 1 (|+>)")
-    return product_state_from_bits(bits, len(selectors))
-
 
 def product_state_from_bits(bits: int, n: int) -> StabilizerState:
     """Product state with qubit q in |+> iff bit q of ``bits`` is set.
@@ -580,21 +552,6 @@ def apply_clifford(state: StabilizerState, op: CliffordOp) -> StabilizerState:
     st = state.copy()
     st._apply_word(op.word)
     return st
-
-
-def inner_product(a: StabilizerState, b: StabilizerState) -> complex:
-    return a.inner_product(b)
-
-
-def amplitude(state: StabilizerState, basis) -> complex:
-    """<basis|state>; basis may be an int or a string like "010"."""
-    if isinstance(basis, str):
-        if len(basis) != state.n:
-            raise ValueError("basis string length differs from qubit count")
-        basis = bits_from_string(basis)
-    if basis >> state.n:
-        raise ValueError("basis label out of range")
-    return state.amplitude(basis)
 
 
 def project_pauli(state: StabilizerState, p: PauliOperator, outcome: int):

@@ -99,12 +99,13 @@ def test_criterion_3_oracle_equivalence():
         op_b = sb.random_clifford_word(t, int(rng.integers(0, 30)), rng)
         sel_a = [int(rng.integers(2)) for _ in range(t)]
         sel_b = [int(rng.integers(2)) for _ in range(t)]
-        a = sb.apply_clifford(sb.product_state(sel_a), op_a)
-        b = sb.apply_clifford(sb.product_state(sel_b), op_b)
+        bits_a, bits_b = (sum(s << q for q, s in enumerate(sel)) for sel in (sel_a, sel_b))
+        a = sb.apply_clifford(sb.product_state_from_bits(bits_a, t), op_a)
+        b = sb.apply_clifford(sb.product_state_from_bits(bits_b, t), op_b)
         va = dense.apply_clifford_dense(dense.product_vector(sel_a), op_a)
         vb = dense.apply_clifford_dense(dense.product_vector(sel_b), op_b)
 
-        worst_ip = max(worst_ip, abs(sb.inner_product(a, b) - np.vdot(va, vb)))
+        worst_ip = max(worst_ip, abs(a.inner_product(b) - np.vdot(va, vb)))
         idx = int(rng.integers(1 << t))
         worst_amp = max(worst_amp, abs(a.amplitude(idx) - va[idx]))
 
@@ -264,7 +265,7 @@ def _probability_trial(trial):
     est = estimator.pauli_prob(d_sparse, circuit, chain)
 
     entries = tuple(
-        (bits, model.u0 ** (t - masks.popcount(bits)) * model.u1 ** masks.popcount(bits))
+        (bits, model.u0 ** (t - bits.bit_count()) * model.u1 ** bits.bit_count())
         for bits in range(1 << t)
     )
     d_full = magic.SparseDecomposition(

@@ -38,6 +38,14 @@ class TestPlans:
         assert plan.k_correlated % (plan.f_t + 1) == 0
         assert plan.k_iid - plan.k_correlated >= math.ceil(plan.f_t / 2)
 
+    def test_theorem1_plan_skips_gamma_at_or_above_xi(self):
+        # at t = 2, f = 3 gives gamma = 1.3725830020304821 against
+        # xi = 1.3725830020304783, where k_theorem1 has no count; f = 2 is next
+        model, mask_set = magic.magic_model(math.pi / 4, 2), masks.generate_masks_pow2(2)
+        assert magic.gamma_bound(model, mask_set, 3) >= model.xi_t
+        plan = bench.theorem1_plan(model, 0.2, mask_set)
+        assert (plan.f_t, plan.k_correlated, plan.k_iid) == (2, 9, 10)
+
     @pytest.mark.parametrize("t, delta", [(246, 0.3), (254, 0.1)])
     def test_theorem1_plan_rounds_groups_in_integers(self, t, delta):
         # past 2^53 terms a float ceiling of k / (f_t + 1) fell below k_theorem1

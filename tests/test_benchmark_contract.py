@@ -4,10 +4,13 @@
 and the estimators; a change under ``src/`` that breaks that use fails
 here.  Each workload goes through setup, inputs, op and check for two ops.
 ``perfbench/tracing.py`` wraps functions at the names their callers look
-up, so every one of those names must still resolve.
+up, so every one of those names must still resolve, and an import that
+``src/`` keeps only for the trace (a ``noqa`` one) must be one of them.
 """
 
+import ast
 import hashlib
+import importlib
 import importlib.util
 import pathlib
 
@@ -42,6 +45,30 @@ def test_tiny_workload_ops_pass_their_checks(name):
 def test_traced_names_resolve(entry):
     owner, attr = entry[:2]
     assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} is gone"
+
+
+def noqa_imports(source: str) -> list:
+    """(line, bound name) of each import on a line that carries a ``noqa``."""
+    lines = source.splitlines()
+    return [(alias.lineno, alias.asname or alias.name)
+            for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names if "noqa" in lines[alias.lineno - 1]]
+
+
+def test_finds_noqa_imports():
+    source = "from a import (\n    b,  # noqa: F401\n    c,\n)\nimport d as e  # noqa\n"
+    assert noqa_imports(source) == [(2, "b"), (5, "e")]
+
+
+def test_noqa_imports_are_traced_names():
+    # an import that src/ does not use stays only for perfbench to wrap at
+    # that name; once the trace stops naming it, it is dead code
+    traced = {(owner, attr) for owner, attr, *_ in tracing.TRACED}
+    for path in sorted((ROOT / "src" / "stabsparse").glob("*.py")):
+        name = "stabsparse" + ("" if path.stem == "__init__" else f".{path.stem}")
+        module = importlib.import_module(name)
+        for line, bound in noqa_imports(path.read_text()):
+            assert (module, bound) in traced, f"{path.name}:{line} imports {bound}, which is not traced"
 
 
 #: sha256 of the ``"{i} {canon}"`` lines of the first PRELOAD_OPS ops at full

@@ -87,6 +87,10 @@ class TestKCorrelated:
             k = cm.k_correlated(xi, delta, 0)
             assert abs(k - cm.k_iid_tight(xi, delta)) <= 1
 
+    def test_negative_f_rejected(self):
+        with pytest.raises(ValueError, match="f_t must be nonnegative"):
+            cm.k_correlated_raw(100.0, 0.1, -1.0)
+
     def test_asymptotic_constant(self):
         xi = XI1**100
         delta = 1e-4

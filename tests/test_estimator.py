@@ -15,7 +15,7 @@ def full_decomposition(t):
     """The exact 2^t-term decomposition at phi = pi/4 (equal magnitudes)."""
     m = magic.magic_model(PI4, t)
     entries = tuple(
-        (bits, m.u0 ** (t - masks.popcount(bits)) * m.u1 ** masks.popcount(bits))
+        (bits, m.u0 ** (t - bits.bit_count()) * m.u1 ** bits.bit_count())
         for bits in range(1 << t)
     )
     return m, magic.SparseDecomposition(
@@ -93,6 +93,12 @@ class TestExactSqnorm:
         est = estimator.exact_sqnorm(magic.sample_iid(m, 3, np.random.default_rng(4)))
         assert est.method == estimator.EXACT
         assert est.samples_used == 0
+
+    @pytest.mark.parametrize("value, samples, needle", [
+        (-1e-3, 0, "cannot be negative"), (1.0, 5, "EXACT norms use no samples")])
+    def test_norm_estimate_invariants(self, value, samples, needle):
+        with pytest.raises(ValueError, match=needle):
+            estimator.NormEstimate(value, estimator.EXACT, samples)
 
 
 class TestFastnorm:

@@ -101,7 +101,7 @@ class TestSampleIid:
         m = magic.magic_model(PI4, 10)
         rng = np.random.default_rng(0)
         d = magic.sample_iid(m, 10_000, rng)
-        ones = sum(masks.popcount(x) for x, _ in d.entries)
+        ones = sum(x.bit_count() for x, _ in d.entries)
         assert ones / (10 * 10_000) == pytest.approx(0.5, abs=5e-3)
 
     def test_deterministic(self):
@@ -169,7 +169,7 @@ class TestSampleCorrelated:
             bits = [d.entries[i][0] for i in range(start, start + size)]
             for i in range(size):
                 for j in range(i + 1, size):
-                    assert masks.popcount(bits[i] ^ bits[j]) >= 4
+                    assert (bits[i] ^ bits[j]).bit_count() >= 4
 
     def test_f_exceeding_masks(self):
         with pytest.raises(ValueError):
@@ -309,6 +309,10 @@ class TestDenseDecomposition:
                                       mode=magic.IID)
         with pytest.raises(ValueError):
             magic.dense_decomposition(d)
+        with pytest.raises(ValueError, match="t <= 14"):
+            magic.dense_target(magic.magic_model(PI4, 15))
+        with pytest.raises(ValueError, match="n <= 14"):
+            magic.to_states(d)[0][1].to_dense()
 
 
 class TestSerialization:
@@ -541,6 +545,23 @@ class TestSamplingStream:
         finally:
             tracemalloc.stop()
         assert peak <= 12 << 20, peak
+
+    @pytest.mark.parametrize("f_t", [0, 31])
+    def test_draw_memory_is_its_output(self, f_t):
+        # t = 80, k = 500,000: 15.3 MiB of labels and phases; a seed array
+        # copied into the labels and a uint64 weight sum traced 1.86 (i.i.d.)
+        # and 1.33 (f_t = 31) times that
+        import tracemalloc
+
+        m, mask_set = magic.magic_model(PI4, 80), masks.generate_masks_even(80)
+        tracemalloc.start()
+        try:
+            d = magic.sample_correlated(m, mask_set, f_t, 500_000, np.random.default_rng(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert d.k == 500_000
+        assert peak <= 1.2 * (d.labels.nbytes + d.phases().nbytes), peak
 
     def test_off_pi4_phases(self):
         # p1 != 1/2 and u0 != u1 exercise both the threshold and the table

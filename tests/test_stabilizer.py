@@ -13,7 +13,8 @@ from stabsparse import stabilizer as sb
 def random_state(n, rng, n_gates=20):
     op = sb.random_clifford_word(n, int(rng.integers(0, n_gates)), rng)
     sel = [int(rng.integers(2)) for _ in range(n)]
-    return sb.apply_clifford(sb.product_state(sel), op), dense.apply_clifford_dense(
+    bits = sum(b << q for q, b in enumerate(sel))
+    return sb.apply_clifford(sb.product_state_from_bits(bits, n), op), dense.apply_clifford_dense(
         dense.product_vector(sel), op
     )
 
@@ -21,8 +22,8 @@ def random_state(n, rng, n_gates=20):
 class TestConstruction:
     def test_zero_state_t1(self):
         st1 = sb.StabilizerState(1)
-        assert sb.amplitude(st1, "0") == pytest.approx(1)
-        assert sb.amplitude(st1, "1") == pytest.approx(0)
+        assert st1.amplitude(0) == pytest.approx(1)
+        assert st1.amplitude(1) == pytest.approx(0)
 
     def test_zero_state_norm(self):
         assert sb.StabilizerState(3).sqnorm() == pytest.approx(1, abs=1e-12)
@@ -38,25 +39,25 @@ class TestConstruction:
             sb.StabilizerState(0)
 
     def test_plus_amplitudes(self):
-        plus = sb.product_state([sb.PLUS])
-        assert sb.amplitude(plus, "0") == pytest.approx(1 / np.sqrt(2))
-        assert sb.amplitude(plus, "1") == pytest.approx(1 / np.sqrt(2))
+        plus = sb.product_state_from_bits(1, 1)
+        assert plus.amplitude(0) == pytest.approx(1 / np.sqrt(2))
+        assert plus.amplitude(1) == pytest.approx(1 / np.sqrt(2))
 
     def test_zero_plus_product(self):
-        stt = sb.product_state([sb.ZERO, sb.PLUS])
-        assert sb.amplitude(stt, "00") == pytest.approx(1 / np.sqrt(2))
-        assert sb.amplitude(stt, "01") == pytest.approx(1 / np.sqrt(2))
-        assert sb.amplitude(stt, "10") == pytest.approx(0)
-        assert sb.amplitude(stt, "11") == pytest.approx(0)
+        stt = sb.product_state_from_bits(0b10, 2)  # qubit 0 in |0>, qubit 1 in |+>
+        assert stt.amplitude(0b00) == pytest.approx(1 / np.sqrt(2))
+        assert stt.amplitude(0b10) == pytest.approx(1 / np.sqrt(2))
+        assert stt.amplitude(0b01) == pytest.approx(0)
+        assert stt.amplitude(0b11) == pytest.approx(0)
 
     def test_plus4_inner_with_zero(self):
         a = sb.StabilizerState(4)
-        b = sb.product_state([sb.PLUS] * 4)
-        assert sb.inner_product(a, b) == pytest.approx(0.25)
+        b = sb.product_state_from_bits(0b1111, 4)
+        assert a.inner_product(b) == pytest.approx(0.25)
 
     def test_empty_product_rejected(self):
         with pytest.raises(ValueError):
-            sb.product_state([])
+            sb.product_state_from_bits(0, 0)
 
     @pytest.mark.parametrize("bits", [-1, 0b1000])
     def test_bits_beyond_qubit_count_rejected(self, bits):
@@ -72,7 +73,7 @@ class TestCliffordApplication:
 
     def test_ss_on_plus_gives_minus(self):
         op = sb.CliffordOp(n=1, word=(("S", (0,)), ("S", (0,))))
-        stt = sb.apply_clifford(sb.product_state([1]), op)
+        stt = sb.apply_clifford(sb.product_state_from_bits(1, 1), op)
         assert np.allclose(stt.to_dense(), [1 / np.sqrt(2), -1 / np.sqrt(2)], atol=1e-12)
 
     def test_random_word_vs_dense(self):
@@ -98,15 +99,14 @@ class TestCliffordApplication:
 
 class TestInnerProduct:
     def test_zero_plus(self):
-        assert sb.inner_product(sb.StabilizerState(1), sb.product_state([1])) == pytest.approx(
-            1 / np.sqrt(2)
-        )
+        plus = sb.product_state_from_bits(1, 1)
+        assert sb.StabilizerState(1).inner_product(plus) == pytest.approx(1 / np.sqrt(2))
 
     def test_self_inner_after_clifford(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             stt, _ = random_state(int(rng.integers(1, 6)), rng)
-            assert sb.inner_product(stt, stt) == pytest.approx(1, abs=1e-10)
+            assert stt.inner_product(stt) == pytest.approx(1, abs=1e-10)
 
     def test_against_dense_many(self):
         rng = np.random.default_rng(7)
@@ -114,11 +114,11 @@ class TestInnerProduct:
             n = int(rng.integers(1, 7))
             a, va = random_state(n, rng)
             b, vb = random_state(n, rng)
-            assert sb.inner_product(a, b) == pytest.approx(np.vdot(va, vb), abs=1e-9)
+            assert a.inner_product(b) == pytest.approx(np.vdot(va, vb), abs=1e-9)
 
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            sb.inner_product(sb.StabilizerState(2), sb.StabilizerState(3))
+            sb.StabilizerState(2).inner_product(sb.StabilizerState(3))
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(9)
@@ -126,17 +126,17 @@ class TestInnerProduct:
             n = int(rng.integers(1, 6))
             a, _ = random_state(n, rng)
             b, _ = random_state(n, rng)
-            assert sb.inner_product(a, b) == pytest.approx(
-                np.conjugate(sb.inner_product(b, a)), abs=1e-12
+            assert a.inner_product(b) == pytest.approx(
+                np.conjugate(b.inner_product(a)), abs=1e-12
             )
 
 
 class TestAmplitude:
     def test_plus_one(self):
-        assert sb.amplitude(sb.product_state([1]), "1") == pytest.approx(1 / np.sqrt(2))
+        assert sb.product_state_from_bits(1, 1).amplitude(1) == pytest.approx(1 / np.sqrt(2))
 
     def test_zero_one(self):
-        assert sb.amplitude(sb.StabilizerState(1), "1") == pytest.approx(0)
+        assert sb.StabilizerState(1).amplitude(1) == pytest.approx(0)
 
     def test_random_t5_vs_dense(self):
         rng = np.random.default_rng(13)
@@ -144,14 +144,11 @@ class TestAmplitude:
         for idx in range(32):
             assert stt.amplitude(idx) == pytest.approx(vec[idx], abs=1e-10)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            sb.amplitude(sb.StabilizerState(3), "01")
-
 
 class TestProjection:
     def test_z_on_plus(self):
-        res = sb.project_pauli(sb.product_state([1]), sb.PauliOperator.from_string("Z"), 1)
+        plus = sb.product_state_from_bits(1, 1)
+        res = sb.project_pauli(plus, sb.PauliOperator.from_string("Z"), 1)
         assert res is not None
         stt, factor = res
         assert factor == pytest.approx(0.5)
@@ -201,6 +198,11 @@ class TestProjection:
         with pytest.raises(ValueError):
             sb.PauliOperator(1, 1, 0, 1j)
 
+    @pytest.mark.parametrize("x, z", [(0b100, 0), (0, 0b100)])
+    def test_support_beyond_n_rejected(self, x, z):
+        with pytest.raises(ValueError, match="exceeds qubit count"):
+            sb.PauliOperator(2, x, z)
+
     def test_completeness(self):
         rng = np.random.default_rng(23)
         for _ in range(60):
@@ -232,6 +234,14 @@ class TestRandomClifford:
     def test_two_qubit_commutation_preserved(self):
         rng = np.random.default_rng(103)
         assert all(sb.random_clifford(2, rng).tableau().is_symplectic() for _ in range(1000))
+        # X_0, X_1 with their Z partners swapped: every pair commutes as it
+        # should, but X_0 pairs with row 3 instead of row 2
+        swapped = [sb.PauliOperator.from_string(s) for s in ("XI", "IX", "IZ", "ZI")]
+        assert not sb.Tableau(2, swapped).is_symplectic()
+
+    def test_draw_rejects_no_qubits(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            sb.random_clifford_tableau(0, np.random.default_rng(0))
 
     def test_synthesis_roundtrip(self):
         rng = np.random.default_rng(107)
@@ -339,6 +349,13 @@ class TestPackedTableau:
         assert sb._transpose(vals, width) == [
             sum(((v >> b) & 1) << i for i, v in enumerate(vals)) for b in range(width)]
 
+    def test_frame_rows_and_gates_checked(self):
+        with pytest.raises(ValueError, match="frame rows must be Paulis on n qubits"):
+            sb.Tableau(2, [sb.PauliOperator.from_string("XII")])
+        # CliffordOp rejects an unknown gate first; a raw word reaches the frame
+        with pytest.raises(ValueError, match="unknown gate 'T'"):
+            sb.Tableau(1).apply_word((("T", (0,)),))
+
     def test_conjugate_paulis_matches_row_pauli(self):
         rng = np.random.default_rng(127)
         for n in (1, 3, 8, 70):
@@ -414,13 +431,13 @@ class TestCHFormBeyondOneWord:
         _, a = self.state(rng)
         _, b = self.state(rng)
         norm = abs(a.omega) ** 2
-        assert abs(sb.inner_product(a, a) - norm) <= 1e-12 * norm
-        assert abs(sb.inner_product(a, b) - np.conjugate(sb.inner_product(b, a))) <= 1e-12
+        assert abs(a.inner_product(a) - norm) <= 1e-12 * norm
+        assert abs(a.inner_product(b) - np.conjugate(b.inner_product(a))) <= 1e-12
         # a neighbour of a has a complex overlap with it, so the symmetry bites
         near = sb.apply_clifford(a, sb.CliffordOp(self.N, (("H", (3,)), ("S", (4,)), ("H", (4,)))))
-        ip = sb.inner_product(a, near)
+        ip = a.inner_product(near)
         assert abs(abs(ip) - 0.5) <= 1e-12 and abs(ip.imag) > 0.1
-        assert abs(ip - np.conjugate(sb.inner_product(near, a))) <= 1e-12
+        assert abs(ip - np.conjugate(near.inner_product(a))) <= 1e-12
 
 
 class TestCHOracle:
@@ -445,8 +462,8 @@ class TestCHOracle:
             b = sb.apply_clifford(sb.StabilizerState(n), sb.random_clifford(n, rng))
             for st in (a, b):
                 feed_state(st)
-            feed(sb.inner_product(a, b))
-            feed(sb.inner_product(b, a))
+            feed(a.inner_product(b))
+            feed(b.inner_product(a))
             p = sb.random_pauli(n, rng)
             for st in (a, b):
                 for outcome in (1, -1):
@@ -464,7 +481,7 @@ class TestCHOracle:
         rng = np.random.default_rng(144)
         a, b = (sb.apply_clifford(sb.StabilizerState(70), sb.random_clifford_word(70, 400, rng))
                 for _ in range(2))
-        feed(sb.inner_product(a, b))
+        feed(a.inner_product(b))
         assert h.hexdigest() == (
             "f3685ed8fd96d3fb25a5e188879deb1dbd58e854eed110e04d7721ee3c7bf004"
         )
@@ -504,6 +521,12 @@ class TestDenseOracle:
         )
 
 
+    def test_trace_norm_of_a_non_hermitian_matrix(self):
+        # the SVD branch; a Hermitian matrix takes the eigenvalue branch
+        m = np.random.default_rng(140).normal(size=(6, 6)) + 1j
+        assert dense.trace_norm(m) == pytest.approx(np.linalg.norm(m, "nuc"), rel=1e-12)
+
+
 class TestSerialization:
     def test_circuit_json_roundtrip(self, tmp_path):
         rng = np.random.default_rng(31)
@@ -529,7 +552,8 @@ class TestSerialization:
 def test_property_clifford_preserves_norm(n, n_gates, seed):
     rng = np.random.default_rng(seed)
     op = sb.random_clifford_word(n, n_gates, rng)
-    stt = sb.apply_clifford(sb.product_state([int(rng.integers(2)) for _ in range(n)]), op)
+    bits = sum(int(rng.integers(2)) << q for q in range(n))
+    stt = sb.apply_clifford(sb.product_state_from_bits(bits, n), op)
     assert abs(stt.sqnorm() - 1) <= 1e-10
 
 
